@@ -10,8 +10,10 @@ noise routing.  Integrating these with a classical fourth-order scheme gives
 the designated ground truth that every Monte Carlo estimate is checked against:
 no sampling error, only (checkable) discretization error.
 
-The assembly here is deliberately independent of the path simulator in
-``sde``; only the model definition is shared.
+F and the noise routing come from the same assembly the path simulator uses
+(``plant.closed_loop_drift``, ``sde.noise_channels``).  The oracle's
+independence from that assembly lives in the tests, which check it against the
+dense Kronecker form and an adaptive ODE solve of the mean.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .integrate import snap_to_grid
+from .sde import noise_channels
 from .series import MomentSeries
 
 PSD_HARD_TOL = -1e-6
@@ -29,68 +33,25 @@ class NonPSDError(RuntimeError):
     """Covariance eigenvalue fell below tolerance; the integrator step failed."""
 
 
-class StepTooLargeError(RuntimeError):
-    pass
-
-
-def _error_system(scen):
-    """F(t) pieces and the diffusion diagonal for the error stack."""
-    if scen.leaderless:
-        raise ValueError("moment oracle requires a leader-following scenario")
-    plant = scen.plant
-    n = plant.n
-    fol = scen.graph.follower_indices
-    N = len(fol)
-    L2 = scen.lap.L2
-    BK2 = plant.B @ plant.K2
-    M0 = np.kron(np.eye(N), plant.closed_loop_A)
-    Nstack = np.empty((N, N * n, N * n))
-    for p in range(N):
-        E = np.zeros((N, N))
-        E[p] = L2[p]
-        Nstack[p] = np.kron(E, BK2)
-
-    K2 = plant.K2[0]
-    q = np.zeros(N)
-    edge_index = {e: k for k, e in enumerate(scen.noise.edges)}
-    for (i, j), k in edge_index.items():
-        if i in fol:
-            p = fol.index(i)
-            w = scen.graph.weights[i, j]
-            q[p] += w * w * float(np.sum((K2 * scen.noise.rho[k]) ** 2))
-
-    gain_fns = [scen.gain_of(node) for node in fol]
-
-    def gains_at(t):
-        return np.array([g(t) for g in gain_fns])
-
-    def F(a_vec):
-        return M0 - np.tensordot(a_vec, Nstack, axes=(0, 0))
-
-    last = np.array([p * n + (n - 1) for p in range(N)])
-    return fol, N, n, gains_at, F, q, last
-
-
 def evolve_moments(scen, grid=None, return_cov: bool = False):
     """Integrate the moment ODEs and sample them on ``grid`` (default scenario grid).
 
     Returns a MomentSeries with provenance "oracle"; with ``return_cov`` the
     full covariance at the sample times is returned as a second value.
     """
-    fol, N, n, gains_at, F, q, last = _error_system(scen)
+    if scen.leaderless:
+        raise ValueError("moment oracle requires a leader-following scenario")
+    fol = scen.graph.follower_indices
+    N, n = len(fol), scen.plant.n
     D = N * n
     dt = scen.dt
     steps = scen.steps
-    if dt * np.linalg.norm(F(gains_at(0.0)), 2) > 1.0:
-        raise StepTooLargeError("dt violates the drift stability heuristic at t = 0")
+    F = scen.drift()
+    last = F.last
+    ke, Winc = noise_channels(scen, fol)
+    q = Winc @ (ke ** 2).sum(axis=1)
 
-    sample = np.asarray(grid if grid is not None else scen.sample_times, dtype=float)
-    rec_idx = np.asarray([int(round(s / dt)) for s in sample], dtype=int)
-    if np.any(rec_idx < 0) or np.any(rec_idx > steps):
-        raise ValueError("sample time outside integration span")
-    wanted = np.full(steps + 1, -1, dtype=int)
-    for s_i, g_i in enumerate(rec_idx):
-        wanted[g_i] = s_i
+    rec_idx, wanted = snap_to_grid(scen.sample_times if grid is None else grid, dt, steps)
 
     m = (scen.init_states[fol] - scen.init_states[scen.graph.leader_index]).reshape(-1)
     P = np.zeros((D, D))
@@ -113,8 +74,7 @@ def evolve_moments(scen, grid=None, return_cov: bool = False):
         record(wanted[0], m, P)
 
     # Precompute gains at all stage times (full and half grid).
-    tgrid = np.arange(2 * steps + 1) * (0.5 * dt)
-    all_gains = np.column_stack([scen.gain_of(node)(tgrid) for node in fol])
+    all_gains = scen.profile.gain_all(np.arange(2 * steps + 1) * (0.5 * dt))
 
     def deriv(a_vec, m, P):
         Fm = F(a_vec)

@@ -8,6 +8,12 @@ and the controller splits into a local part K1 = (-alpha_1, -alpha_2 - b_1, ...,
 -alpha_n - b_{n-1}) and a relative part K2 = (b_1, ..., b_{n-1}, 1).  Two
 algebraic identities make the whole analysis work: K2 (A + B K1) = 0 and
 K2 B K2 = K2; both are checked at construction time.
+
+Since B K2 = e_n K2 has rank one, the coupled closed loop of M agents,
+F(a) = I_M (x) (A + B K1) - diag(a) L (x) B K2, differs from its uncoupled
+part only in the last row of each agent block; ``closed_loop_drift`` builds
+F(a) from that structure for the simulator, the moment oracle and scenario
+validation alike.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
-from .integrate import rk4_path
 from .matrices import DegenerateRowError, is_hurwitz
 
 IDENTITY_TOL = 1e-12
@@ -60,6 +66,49 @@ class PlantModel:
         return np.concatenate([self.b, [1.0]])
 
 
+@dataclass(frozen=True)
+class ClosedLoopDrift:
+    """The drift F(a) of M coupled agents, as a function of their gains a.
+
+    F(a) is ``base`` = I_M (x) (A + B K1) with each row ``last[p]`` (the last
+    component of agent p) lowered by a_p times row p of ``coupling`` = L (x) K2.
+    """
+
+    base: np.ndarray      # (Mn, Mn)
+    coupling: np.ndarray  # (M, Mn)
+    last: np.ndarray      # (M,) int
+
+    def __call__(self, a) -> np.ndarray:
+        """F for gains ``a`` of shape (..., M); returns shape (..., Mn, Mn)."""
+        a = np.asarray(a, dtype=float)
+        F = np.empty(a.shape[:-1] + self.base.shape)
+        F[...] = self.base
+        F[..., self.last, :] = self.base[self.last] - a[..., :, None] * self.coupling
+        return F
+
+
+def closed_loop_drift(plant: PlantModel, L) -> ClosedLoopDrift:
+    """Drift of the agents whose Laplacian block (rows and columns) is ``L``."""
+    L = np.asarray(L, dtype=float)
+    M, n = L.shape[0], plant.n
+    last = np.arange(M) * n + (n - 1)
+    last.setflags(write=False)
+    return ClosedLoopDrift(
+        base=_frozen(np.kron(np.eye(M), plant.closed_loop_A)),
+        coupling=_frozen(np.kron(L, plant.K2)), last=last,
+    )
+
+
+def require_hurwitz(poly, what: str) -> None:
+    """Raise NotHurwitzError unless the monic ``poly`` (low to high) is Hurwitz."""
+    try:
+        stable = is_hurwitz(poly)
+    except DegenerateRowError as exc:
+        raise NotHurwitzError(f"marginally stable {what}: {exc}") from exc
+    if not stable:
+        raise NotHurwitzError(f"{what} has a root with nonnegative real part")
+
+
 def build_plant(alpha, b) -> PlantModel:
     """Assemble the companion plant and controller vectors, checking stability.
 
@@ -73,13 +122,7 @@ def build_plant(alpha, b) -> PlantModel:
         raise DimensionMismatchError(f"state dimension must be >= 2, got {n}")
     if b.size != n - 1:
         raise DimensionMismatchError(f"expected {n - 1} design parameters, got {b.size}")
-    poly = np.concatenate([b, [1.0]])
-    try:
-        stable = is_hurwitz(poly)
-    except DegenerateRowError as exc:
-        raise NotHurwitzError(f"marginally stable design polynomial: {exc}") from exc
-    if not stable:
-        raise NotHurwitzError("design polynomial has a root with nonnegative real part")
+    require_hurwitz(np.concatenate([b, [1.0]]), "design polynomial")
 
     A = np.zeros((n, n))
     A[:-1, 1:] = np.eye(n - 1)
@@ -104,11 +147,12 @@ def build_plant(alpha, b) -> PlantModel:
 
 
 def leader_closed_loop(plant: PlantModel, x0_init, t_end: float, dt: float = 1e-3):
-    """Integrate the leader's autonomous closed loop x0' = (A + B K1) x0.
+    """Propagate the leader's autonomous closed loop x0' = (A + B K1) x0.
 
+    Each step of size ``dt`` applies the exact propagator expm((A + B K1) dt).
     Returns (times, trajectory, limit_vector).  The limit is reported as the
-    integrated endpoint with components 2..n zeroed out when they have decayed,
-    reflecting the (v, 0, ..., 0) structure of the stationary state.
+    propagated endpoint with components 2..n zeroed out, reflecting the
+    (v, 0, ..., 0) structure of the stationary state.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -116,7 +160,13 @@ def leader_closed_loop(plant: PlantModel, x0_init, t_end: float, dt: float = 1e-
     x0 = np.asarray(x0_init, dtype=float)
     if x0.shape != (plant.n,):
         raise DimensionMismatchError(f"initial state must have shape ({plant.n},)")
-    times, traj = rk4_path(lambda t, y: m @ y, x0, 0.0, t_end, dt)
+    steps = int(round(t_end / dt))
+    prop = expm(m * dt)
+    traj = np.empty((steps + 1, plant.n))
+    traj[0] = x0
+    for k in range(steps):
+        traj[k + 1] = prop @ traj[k]
+    times = np.arange(steps + 1) * dt
     limit = np.zeros(plant.n)
     limit[0] = traj[-1, 0]
     return times, traj, limit

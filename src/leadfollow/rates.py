@@ -14,7 +14,7 @@ import numpy as np
 
 from . import sde
 from .integrate import rk4_path
-from .matrices import DegenerateRowError, is_hurwitz
+from .plant import NotHurwitzError, require_hurwitz  # noqa: F401  (filter_response raises it)
 from .series import MomentSeries
 
 
@@ -23,10 +23,6 @@ class WindowTooNarrowError(ValueError):
 
 
 class QuadratureUnresolvedError(RuntimeError):
-    pass
-
-
-class NotHurwitzError(ValueError):
     pass
 
 
@@ -214,7 +210,6 @@ class BoundEntry:
     head_log_max: float       # max log ratio over the first decade of the grid
     tail_log_max: float       # max log ratio over the last decade
     no_growth: bool
-    power_form_log_max: float  # sup of log ||Phi|| + mu1 (Re lam - eps) t^(1-beta)/(1-beta)
 
 
 @dataclass(frozen=True)
@@ -262,13 +257,9 @@ def transition_bound_check(lam_set, profile, eps: float, grid,
         tail = grid >= grid[-1] / 10.0
         head_max = float(log_ratio[head].max())
         tail_max = float(log_ratio[tail].max())
-        power_log = tm.log_norms() + profile.mu1 * (lam.real - eps) / (1.0 - profile.beta) * (
-            grid ** (1.0 - profile.beta)
-        )
         entries.append(BoundEntry(
             lam=lam, r=r, eps=float(eps), head_log_max=head_max, tail_log_max=tail_max,
             no_growth=tail_max <= head_max + np.log(growth_slack),
-            power_form_log_max=float(power_log.max()),
         ))
     return BoundReport(entries=tuple(entries))
 
@@ -282,12 +273,7 @@ def filter_response(b, drive_times, drive_values, init):
     the kth derivative of xi for k = 0..n (the nth from the equation itself).
     """
     b = np.asarray(b, dtype=float)
-    try:
-        stable = is_hurwitz(b)
-    except DegenerateRowError as exc:
-        raise NotHurwitzError(str(exc)) from exc
-    if not stable:
-        raise NotHurwitzError("filter polynomial is not Hurwitz")
+    require_hurwitz(b, "filter polynomial")
     n = b.size - 1
     t = np.asarray(drive_times, dtype=float)
     z = np.asarray(drive_values, dtype=float)

@@ -15,8 +15,9 @@ A scenario is one self-contained JSON document::
 
 ``sample_times`` is either an explicit list or {"kind": "linspace"|"logspace",
 "start": ..., "stop": ..., "count": ...}; times are snapped to the integration
-grid.  The gains list covers every node including the leader; the leader's gain
-is recorded but has no dynamical effect unless the scenario is leaderless.
+grid.  The gains list covers every node including the leader.  A leaderless
+profile covers every node; in a leader-following scenario the leader's triple is
+only recorded, since the autonomous leader has no gain.
 Validation is aggregated: every failure is reported, not just the first.
 """
 
@@ -50,7 +51,7 @@ class SimScenario:
     lap: topology.LaplacianPartition
     plant: plant_mod.PlantModel
     profile: gains_mod.GainProfile          # followers (leader-following) or all nodes
-    leader_gain: tuple[float, float, float]  # recorded for fidelity; inert unless leaderless
+    leader_gain: tuple[float, float, float]  # recorded for fidelity; never enters the dynamics
     noise: sde.NoiseModel
     init_states: np.ndarray                  # (N+1, n)
     dt: float
@@ -69,15 +70,18 @@ class SimScenario:
     def follower_ids(self) -> list[int]:
         return self.graph.follower_indices
 
-    def gain_of(self, node: int):
-        """Vectorized gain function t -> a_node(t) for any simulated node."""
-        if node in self.profile.agent_ids:
-            return lambda t: np.asarray(self.profile.gain(node, t), dtype=float)
-        if node == self.graph.leader_index and not self.leaderless:
-            mu, scale, shift = self.leader_gain
-            beta = self.profile.beta
-            return lambda t: mu * (scale * np.asarray(t, dtype=float) + shift) ** (-beta)
-        raise ValueError(f"no gain defined for node {node}")
+    @property
+    def sim_nodes(self) -> list[int]:
+        """Nodes whose states are integrated, in ``profile.agent_ids`` order:
+        every node when leaderless, else the followers."""
+        if self.leaderless:
+            return list(range(self.graph.node_count))
+        return self.graph.follower_indices
+
+    def drift(self) -> plant_mod.ClosedLoopDrift:
+        """Closed-loop drift F(a) of the ``sim_nodes``."""
+        L = self.lap.full if self.leaderless else self.lap.L2
+        return plant_mod.closed_loop_drift(self.plant, L)
 
     def with_overrides(self, dt=None, t_end=None, trials=None, base_seed=None,
                        sample_times=None, rho=None) -> "SimScenario":
@@ -97,7 +101,6 @@ class SimScenario:
             raw["noise"] = {"rho": rho}
         return scenario_from_dict(raw)
 
-    # raw_json is set via object.__setattr__ in scenario_from_dict
     raw_json: str = field(default="", compare=False)
 
 
@@ -223,18 +226,6 @@ def scenario_from_dict(raw: dict) -> SimScenario:
     if graph is not None and not leaderless and not topology.has_spanning_tree(graph):
         failures.append("graph: no spanning tree (set leaderless: true if intentional)")
 
-    if not failures and dt is not None:
-        # Drift stability heuristic at t = 0, where the gains are largest.
-        nodes = list(range(graph.node_count)) if leaderless else graph.follower_indices
-        L = topology.laplacian(graph.weights)
-        Lsub = L[np.ix_(nodes, nodes)]
-        a0 = np.array([scenario_gain0(profile, leader_gain, node, leaderless, graph) for node in nodes])
-        F0 = np.kron(np.eye(len(nodes)), plant.closed_loop_A) - np.kron(
-            np.diag(a0) @ Lsub, plant.B @ plant.K2
-        )
-        if dt * np.linalg.norm(F0, 2) > 1.0:
-            failures.append("integration: dt violates the drift stability heuristic at t = 0")
-
     if failures:
         raise ValidationError(failures)
 
@@ -248,14 +239,10 @@ def scenario_from_dict(raw: dict) -> SimScenario:
         trials=trials, base_seed=base_seed, leaderless=leaderless,
         fingerprint=fingerprint, raw_json=raw_json,
     )
+    # Drift stability heuristic at t = 0, where the gains are largest.
+    if dt * np.linalg.norm(scen.drift()(profile.gain_all(0.0)), 2) > 1.0:
+        raise ValidationError(["integration: dt violates the drift stability heuristic at t = 0"])
     return scen
-
-
-def scenario_gain0(profile, leader_gain, node, leaderless, graph) -> float:
-    if node in profile.agent_ids:
-        return float(profile.gain(node, 0.0))
-    mu, scale, shift = leader_gain
-    return mu * shift ** (-profile.beta)
 
 
 def load_scenario(path) -> SimScenario:

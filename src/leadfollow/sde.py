@@ -21,18 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .topology import laplacian
+from .integrate import snap_to_grid
+from .plant import leader_closed_loop
 
 BLOCK_STEPS = 512
 
 
 class SimulationError(RuntimeError):
-    pass
-
-
-class StepTooLargeError(SimulationError):
     pass
 
 
@@ -81,13 +77,28 @@ def _noise_rng(seed: int) -> np.random.Generator:
 
 
 def _record_indices(scen, record_times) -> np.ndarray:
-    steps = scen.steps
     if record_times is None:
         record_times = scen.sample_times
-    idx = np.asarray([int(round(s / scen.dt)) for s in np.atleast_1d(record_times)], dtype=int)
-    if np.any(idx < 0) or np.any(idx > steps):
-        raise ValueError("sample time outside the integration span")
-    return idx
+    return snap_to_grid(record_times, scen.dt, scen.steps)[0]
+
+
+def noise_channels(scen, nodes):
+    """Noise routing into ``nodes``: one channel per directed edge into them.
+
+    Returns (ke, Winc).  Row e of ``ke`` (E, n) folds the edge weight and the
+    K2 row into the projection of channel e's n-dimensional increment onto its
+    receiver's last component; ``Winc`` (len(nodes), E) sums the channels into
+    each receiver.
+    """
+    pos = {node: p for p, node in enumerate(nodes)}
+    K2 = scen.plant.K2[0]
+    rows = [(k, i, j) for k, (i, j) in enumerate(scen.noise.edges) if i in pos]
+    ke = np.empty((len(rows), scen.plant.n))
+    Winc = np.zeros((len(nodes), len(rows)))
+    for e, (k, i, j) in enumerate(rows):
+        ke[e] = scen.graph.weights[i, j] * K2 * scen.noise.rho[k]
+        Winc[pos[i], e] = 1.0
+    return ke, Winc
 
 
 class _ClosedLoop:
@@ -95,88 +106,41 @@ class _ClosedLoop:
 
     def __init__(self, scen):
         plant = scen.plant
-        n = plant.n
-        self.n = n
+        self.n = plant.n
         self.dt = scen.dt
         self.steps = scen.steps
-        K2 = plant.K2[0]
-        BK2 = plant.B @ plant.K2
-        m0 = plant.closed_loop_A
-
-        if scen.leaderless:
-            self.sim_nodes = list(range(scen.graph.node_count))
-        else:
-            self.sim_nodes = scen.graph.follower_indices
+        self.sim_nodes = scen.sim_nodes
         self.M = len(self.sim_nodes)
-        pos = {node: p for p, node in enumerate(self.sim_nodes)}
-
-        L = laplacian(scen.graph.weights)
-        Lsub = L[np.ix_(self.sim_nodes, self.sim_nodes)]
-        self.Lsub = Lsub
-        self.M0 = np.kron(np.eye(self.M), m0)
-        stack = np.empty((self.M, self.M * n, self.M * n))
-        for p in range(self.M):
-            E = np.zeros((self.M, self.M))
-            E[p] = Lsub[p]
-            stack[p] = np.kron(E, BK2)
-        self.Nstack = stack
-
-        # Noise routing: one n-dimensional channel per directed edge into a
-        # simulated node; the K2 row and the edge weight fold into a constant
-        # projection vector per channel.
-        edges = [(i, j) for (i, j) in scen.noise.edges if i in pos]
-        self.edges = edges
-        self.E = len(edges)
-        self.ke = np.empty((self.E, n))
-        self.Winc = np.zeros((self.M, self.E))
-        for e, (i, j) in enumerate(edges):
-            row = list(scen.noise.edges).index((i, j))
-            self.ke[e] = scen.graph.weights[i, j] * K2 * scen.noise.rho[row]
-            self.Winc[pos[i], e] = 1.0
+        self.drift = scen.drift()
+        self.ke, self.Winc = noise_channels(scen, self.sim_nodes)
+        self.E = self.ke.shape[0]
 
         # Per-step gains of the simulated agents, steps+1 rows.
-        tgrid = np.arange(self.steps + 1) * self.dt
-        self.gains = np.column_stack(
-            [scen.gain_of(node)(tgrid) for node in self.sim_nodes]
-        )
-
-        self.last_cols = np.array([p * n + (n - 1) for p in range(self.M)])
+        self.gains = scen.profile.gain_all(np.arange(self.steps + 1) * self.dt)
 
         if scen.leaderless:
             self.x0_path = None
             self.forcing = None
         else:
             lead = scen.graph.leader_index
-            prop = expm(m0 * self.dt)
-            x0 = np.empty((self.steps + 1, n))
-            x0[0] = scen.init_states[lead]
-            for k in range(self.steps):
-                x0[k + 1] = prop @ x0[k]
-            self.x0_path = x0
-            L1col = L[self.sim_nodes, lead]
-            w0 = x0 @ K2
+            self.x0_path = leader_closed_loop(
+                plant, scen.init_states[lead], scen.t_end, self.dt
+            )[1]
+            w0 = self.x0_path @ plant.K2[0]
             # Drift term -a_i(t) L1_i K2 x0(t) entering each follower's last component.
-            self.forcing = -(self.gains * L1col[None, :]) * w0[:, None]
+            self.forcing = -(self.gains * scen.lap.L1.T) * w0[:, None]
 
         self.X0 = scen.init_states[self.sim_nodes].reshape(-1)
-        drift0 = self.M0 - np.tensordot(self.gains[0], stack, axes=(0, 0))
-        if self.dt * np.linalg.norm(drift0, 2) > 1.0:
-            raise StepTooLargeError(
-                f"dt = {self.dt} violates the drift stability heuristic at t = 0"
-            )
 
 
-def _run_full(scen, seed: int, trials: int, record_idx: np.ndarray,
-              noise_increments: np.ndarray | None = None) -> np.ndarray:
+def _run_full(scen, seed: int, trials: int, record_idx: np.ndarray) -> np.ndarray:
     """Batched Euler-Maruyama paths; returns (trials, S, node_count, n)."""
     cl = _ClosedLoop(scen)
     n, M, E = cl.n, cl.M, cl.E
     dt = cl.dt
     sqrt_dt = np.sqrt(dt)
     rng = _noise_rng(seed)
-    wanted = np.full(cl.steps + 1, -1, dtype=int)
-    for s_i, g_i in enumerate(record_idx):
-        wanted[g_i] = s_i
+    wanted = snap_to_grid(record_idx * dt, dt, cl.steps)[1]
     out = np.empty((trials, record_idx.size, scen.graph.node_count, n))
 
     X = np.tile(cl.X0, (trials, 1))
@@ -194,12 +158,9 @@ def _run_full(scen, seed: int, trials: int, record_idx: np.ndarray,
         k1 = min(k0 + BLOCK_STEPS, cl.steps)
         nb = k1 - k0
         a_b = cl.gains[k0:k1]
-        Fb = cl.M0[None] - np.tensordot(a_b, cl.Nstack, axes=(1, 0))
+        Fb = cl.drift(a_b)
         if E:
-            if noise_increments is None:
-                dW = rng.normal(0.0, sqrt_dt, size=(trials, nb, E, n))
-            else:
-                dW = noise_increments[:, k0:k1]
+            dW = rng.normal(0.0, sqrt_dt, size=(trials, nb, E, n))
             s = np.einsum("tbeh,eh->tbe", dW, cl.ke)
             nv = np.einsum("tbe,ie->tbi", s, cl.Winc) * a_b[None]
         else:
@@ -208,7 +169,7 @@ def _run_full(scen, seed: int, trials: int, record_idx: np.ndarray,
         for k in range(nb):
             X = X + dt * (X @ Fb[k].T)
             incr = nv[:, k, :] if fb is None else dt * fb[k] + nv[:, k, :]
-            X[:, cl.last_cols] += incr
+            X[:, cl.drift.last] += incr
             store(k0 + k + 1)
         if not np.all(np.isfinite(X)):
             raise NonFiniteError(f"state overflowed near t = {k1 * dt:.6g}")
@@ -224,9 +185,7 @@ def _run_reduced(scen, seed: int, trials: int, record_idx: np.ndarray) -> np.nda
     dt = cl.dt
     sqrt_dt = np.sqrt(dt)
     rng = _noise_rng(seed)
-    wanted = np.full(cl.steps + 1, -1, dtype=int)
-    for s_i, g_i in enumerate(record_idx):
-        wanted[g_i] = s_i
+    wanted = snap_to_grid(record_idx * dt, dt, cl.steps)[1]
     out = np.empty((trials, record_idx.size, M))
 
     K2 = scen.plant.K2[0]
@@ -234,7 +193,7 @@ def _run_reduced(scen, seed: int, trials: int, record_idx: np.ndarray) -> np.nda
     Xh = np.tile(err0 @ K2, (trials, 1))
     if wanted[0] >= 0:
         out[:, wanted[0], :] = Xh
-    L2T = cl.Lsub.T
+    L2T = scen.lap.L2.T
     for k0 in range(0, cl.steps, BLOCK_STEPS):
         k1 = min(k0 + BLOCK_STEPS, cl.steps)
         nb = k1 - k0

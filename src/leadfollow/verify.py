@@ -104,7 +104,10 @@ def check_controller_identities(rng=None) -> CheckResult:
 
 
 def check_reduction_consistency(scen) -> CheckResult:
-    """Shared-noise full vs reduced paths agree after the K2 projection."""
+    """Shared-noise full vs reduced paths agree after the K2 projection.
+
+    One projected Euler-Maruyama step of the full engine is exactly one step of
+    the reduced engine on the same increments, so the gap is round-off only."""
     horizon = min(10.0, scen.t_end)
     probe = scen.with_overrides(
         t_end=horizon, sample_times=np.linspace(0.0, horizon, 101)
@@ -118,7 +121,7 @@ def check_reduction_consistency(scen) -> CheckResult:
         red = sde.simulate_reduced(probe, seed)
         err = full.states[:, fol, :] - full.states[:, [lead], :]
         worst = max(worst, float(np.abs(red.states - err @ K2).max()))
-    return _check("reduction_projection_gap", worst, 5e-3, "<=")
+    return _check("reduction_projection_gap", worst, 1e-10, "<=")
 
 
 def oracle_deviation_sigmas(mc, oracle) -> float:

@@ -40,6 +40,14 @@ def fig1_constants(fig1):
     return lf.rate_constants(fig1.profile, fig1.lap.L2)
 
 
+def dense_drift(plant, L, a):
+    """Independent reference for the closed-loop drift: the dense Kronecker form
+    F(a) = I (x) (A + B K1) - diag(a) L (x) B K2."""
+    return np.kron(np.eye(L.shape[0]), plant.closed_loop_A) - np.kron(
+        np.diag(a) @ L, plant.B @ plant.K2
+    )
+
+
 def fig1_weights():
     w = np.zeros((5, 5))
     w[1, 0] = 1.0

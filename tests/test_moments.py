@@ -6,10 +6,12 @@ from scipy.integrate import solve_ivp
 
 import leadfollow as lf
 from leadfollow.gains import make_profile
-from leadfollow.moments import InsufficientSpanError, _error_system
+from leadfollow.moments import InsufficientSpanError
 from leadfollow.scenario import scenario_from_dict
 from leadfollow.verify import oracle_deviation_sigmas
 from leadfollow import sde
+
+from conftest import dense_drift
 
 
 def test_zero_noise_covariance_and_mean(fig1):
@@ -20,10 +22,11 @@ def test_zero_noise_covariance_and_mean(fig1):
     series, cov = lf.evolve_moments(scen, return_cov=True)
     assert np.abs(cov).max() == 0.0
 
-    _, N, n, gains_at, F, _, _ = _error_system(scen)
     m0 = (scen.init_states[1:] - scen.init_states[0]).reshape(-1)
-    sol = solve_ivp(lambda t, m: F(gains_at(t)) @ m, (0.0, 10.0), m0,
-                    t_eval=st, rtol=1e-11, atol=1e-12)
+    sol = solve_ivp(
+        lambda t, m: dense_drift(scen.plant, scen.lap.L2, scen.profile.gain_all(t)) @ m,
+        (0.0, 10.0), m0, t_eval=st, rtol=1e-11, atol=1e-12,
+    )
     assert np.abs(series.mean_err.reshape(st.size, -1) - sol.y.T).max() <= 1e-8
 
 

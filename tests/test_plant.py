@@ -3,8 +3,12 @@ import pytest
 
 from leadfollow.matrices import eigenvalues
 from leadfollow.plant import (
-    DimensionMismatchError, NotHurwitzError, build_plant, leader_closed_loop,
+    DimensionMismatchError, NotHurwitzError, build_plant, closed_loop_drift,
+    leader_closed_loop,
 )
+from leadfollow.topology import laplacian_partition, random_spanning_tree_digraph
+
+from conftest import dense_drift
 
 
 def test_reference_plant_controllers():
@@ -86,3 +90,30 @@ def test_leader_limit_trivial_cases():
     _, traj, limit = leader_closed_loop(d, [1.0, 0.0], 50.0)
     assert np.allclose(limit, [1.0, 0.0], atol=1e-6)
     assert np.allclose(traj[-1], [1.0, 0.0], atol=1e-6)
+
+
+def _drift_cases(fig1, fig2):
+    """(plant, Laplacian block) pairs: the presets and random spanning-tree
+    digraphs with random Hurwitz designs."""
+    cases = [(fig1.plant, fig1.lap.L2), (fig2.plant, fig2.lap.full)]
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        g = random_spanning_tree_digraph(int(rng.integers(3, 8)), rng)
+        cases.append((_random_plant(rng), laplacian_partition(g).L2))
+    return cases
+
+
+def test_closed_loop_drift_matches_dense_form(fig1, fig2):
+    """The rank-1 drift assembly equals the dense Kronecker reference, for
+    single and batched gain vectors."""
+    rng = np.random.default_rng(12)
+    for plant, L in _drift_cases(fig1, fig2):
+        drift = closed_loop_drift(plant, L)
+        a = rng.uniform(0.05, 3.0, size=(3, L.shape[0]))
+        batch = drift(a)
+        assert batch.shape == (3, L.shape[0] * plant.n, L.shape[0] * plant.n)
+        for k in range(3):
+            ref = dense_drift(plant, L, a[k])
+            tol = 1e-13 * np.linalg.norm(ref, 2)
+            assert np.abs(drift(a[k]) - ref).max() <= tol
+            assert np.abs(batch[k] - ref).max() <= tol

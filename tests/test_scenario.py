@@ -31,9 +31,8 @@ def test_fig2_preset(fig2):
     assert np.all(fig2.profile.mu == 1.0)
     assert np.all(fig2.profile.scale == 1.0)
     assert np.all(fig2.profile.shift == 1.0)
-    g = fig2.gain_of(0)
-    assert g(0.0) == pytest.approx(1.0)
-    assert g(3.0) == pytest.approx(4.0 ** -0.4)
+    assert fig2.profile.gain_all(0.0) == pytest.approx(np.ones(5))
+    assert fig2.profile.gain_all(3.0) == pytest.approx(np.full(5, 4.0 ** -0.4))
 
 
 def test_bad_exponent_reported(fig1):

@@ -86,6 +86,20 @@ def test_noise_channel_independence():
     assert np.abs(corr).max() < 0.02
 
 
+def test_sample_times_sharing_a_step_rejected(fig1):
+    """Distinct sample times that snap to one step would leave a sample slot
+    unwritten; every sampled entry point rejects them and names the times."""
+    scen = fig1.with_overrides(t_end=2.0, trials=2, sample_times=[0.0, 2.0])
+    times = [1.0, 1.0002, 2.0]
+    for run in (lambda: lf.simulate_full(scen, 1, times),
+                lambda: lf.evolve_moments(scen, grid=times),
+                lambda: lf.monte_carlo_moments(scen, sample_times=times)):
+        with pytest.raises(ValueError, match=r"\[1\.0, 1\.0002\]"):
+            run()
+    with pytest.raises(ValueError, match=r"\[1\.0, 1\.0\]"):
+        sde._run_full(scen, 1, 2, np.array([1000, 1000, 2000]))
+
+
 def test_reduced_requires_leader(fig2):
     with pytest.raises(sde.SimulationError):
         lf.simulate_reduced(fig2, 1)
