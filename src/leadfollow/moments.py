@@ -48,8 +48,7 @@ def evolve_moments(scen, grid=None, return_cov: bool = False):
     steps = scen.steps
     F = scen.drift()
     last = F.last
-    ke, Winc = noise_channels(scen, fol)
-    q = Winc @ (ke ** 2).sum(axis=1)
+    q = noise_channels(scen, fol)
 
     rec_idx, wanted = snap_to_grid(scen.sample_times if grid is None else grid, dt, steps)
 

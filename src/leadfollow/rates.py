@@ -1,9 +1,9 @@
 """Monte Carlo aggregation, power-law fits, envelope tests, transition-matrix checks.
 
-The Monte Carlo estimator runs all trials through the batched path engine with a
-single counter-based noise stream keyed on the base seed, and aggregates moments
-in fixed trial order, so results are bit-reproducible and independent of any
-scheduling concerns.
+The Monte Carlo estimator runs all trials through the batched path engine, each
+trial on its own counter-based noise stream keyed on (base seed, trial), and
+aggregates moments in fixed trial order, so results are bit-reproducible and
+independent of any scheduling concerns.
 """
 
 from __future__ import annotations

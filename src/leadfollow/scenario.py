@@ -90,6 +90,10 @@ class SimScenario:
         if dt is not None:
             raw["integration"]["dt"] = dt
         if t_end is not None:
+            # A {kind, start, stop, count} grid that ends at the horizon follows it.
+            spec = raw["integration"].get("sample_times")
+            if isinstance(spec, dict) and float(spec["stop"]) == float(raw["integration"]["t_end"]):
+                spec["stop"] = t_end
             raw["integration"]["t_end"] = t_end
         if trials is not None:
             raw["monte_carlo"]["trials"] = trials

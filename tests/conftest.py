@@ -48,6 +48,19 @@ def dense_drift(plant, L, a):
     )
 
 
+def dense_noise_routing(scen, nodes):
+    """Independent reference for the noise routing: G (len(nodes) n, E n) maps
+    the stacked per-edge increments dW_e into the stacked states of ``nodes``;
+    edge e = (i, j) feeds w_ij K2 o rho_e into the last component of node i."""
+    n = scen.plant.n
+    K2 = scen.plant.K2[0]
+    G = np.zeros((len(nodes) * n, len(scen.noise.edges) * n))
+    for e, ((i, j), rho) in enumerate(zip(scen.noise.edges, scen.noise.rho)):
+        if i in nodes:
+            G[list(nodes).index(i) * n + n - 1, e * n:(e + 1) * n] = scen.graph.weights[i, j] * K2 * rho
+    return G
+
+
 def fig1_weights():
     w = np.zeros((5, 5))
     w[1, 0] = 1.0

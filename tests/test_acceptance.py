@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
 import leadfollow as lf
-from leadfollow import verify
+from leadfollow import sde, verify
 
 
 def _report(num, name, passed, detail, surrogate=False):
@@ -161,12 +161,21 @@ def test_criterion_10_filter_witnesses(fig1):
 
 
 def test_criterion_11_leaderless_counterexample(fig1, fig2):
-    traj2 = lf.simulate_full(fig2, fig2.base_seed)
-    t2 = traj2.times
-    norms2 = np.linalg.norm(traj2.states, axis=2)
-    head = norms2[(t2 >= 0) & (t2 <= 10.0)].mean(axis=0)
-    tail = norms2[(t2 >= 150.0) & (t2 <= 200.0)].mean(axis=0)
-    grew = bool(np.any(tail > head))
+    # Growth is a claim about the noise-driven spread, which a single path
+    # sees only on some streams (about four in five pass a head/tail norm
+    # witness, and the noiseless path passes it too).  So the ensemble
+    # variance tr Cov(x_i) over 32 independent trials (trial 0 is the path
+    # of simulate_full at the preset seed, up to round-off) must grow from
+    # (0, 10] to [150, 200] for every agent.  It is zero, and fails, without
+    # noise: the paths are shifted by trial 0 first, so identical trials give
+    # an exact zero rather than the round-off of their mean.
+    rec = sde._record_indices(fig2, None)
+    t2 = rec * fig2.dt
+    paths = sde._run_full(fig2, fig2.base_seed, 32, rec)
+    spread = (paths - paths[:1]).var(axis=0).sum(axis=2)
+    head = spread[(t2 > 0) & (t2 <= 10.0)].mean(axis=0)
+    tail = spread[(t2 >= 150.0) & (t2 <= 200.0)].mean(axis=0)
+    grew = bool(np.all(tail > head))
 
     traj1 = lf.simulate_full(fig1, fig1.base_seed)
     norms1 = np.linalg.norm(traj1.states, axis=2)
@@ -176,7 +185,8 @@ def test_criterion_11_leaderless_counterexample(fig1, fig2):
 
     ok = grew and bounded
     _report(11, "leaderless growth vs leader-following boundedness", ok,
-            f"leaderless tail/head norm means={tail.max():.2f}/{head.max():.2f}; "
+            f"leaderless ensemble variance tail/head min ratio="
+            f"{np.min(tail / head):.2f} over 32 trials; "
             f"leader-following tail max={tail_mean1.max():.2f} "
             f"bound={2.0 * leader_max + 1.0:.2f}")
     assert ok

@@ -106,6 +106,18 @@ def test_sample_time_resolution(fig1):
     assert np.allclose(scen.sample_times, [0.0, 1.0, 1.001, 50.0])
 
 
+def test_horizon_override_moves_grid_spec(fig1):
+    """A sample-time spec that ends at the horizon follows a new t_end; an
+    explicit list is still validated against it."""
+    short = fig1.with_overrides(t_end=10.0)
+    assert short.sample_times.size == 40
+    assert short.sample_times[-1] == 10.0
+    assert np.allclose(short.sample_times, np.round(np.logspace(np.log10(0.5), 1.0, 40), 3))
+    listed = fig1.with_overrides(sample_times=[0.0, 50.0, 100.0])
+    with pytest.raises(ValidationError, match="sample_times outside"):
+        listed.with_overrides(t_end=10.0)
+
+
 def test_fingerprint_stability(fig1):
     again = lf.load_preset("fig1")
     assert again.fingerprint == fig1.fingerprint

@@ -7,6 +7,8 @@ import leadfollow as lf
 from leadfollow import sde
 from leadfollow.scenario import scenario_from_dict
 
+from conftest import dense_noise_routing
+
 
 def test_noiseless_consensus(fig1):
     """With all noise intensities zero the protocol drives every follower to
@@ -71,19 +73,102 @@ def test_dt_refinement_within_confidence(fig1):
 
 
 def test_noise_channel_independence():
-    """Distinct (edge, component) increment streams are uncorrelated in the
-    order the simulator draws them."""
-    rng = sde._noise_rng(123)
-    steps, E, n = 100000, 6, 4
+    """Each trial draws one standard normal per agent per step from its own
+    stream, step-major; distinct (trial, agent) channels are uncorrelated,
+    unit-variance and free of lag-one correlation in the order the simulator
+    consumes them."""
+    trials, M, steps = 6, 4, 100000
+    noise = sde._Noise(123, trials, np.ones(M))
     chunks = []
-    done = 0
-    while done < steps:
-        nb = min(sde.BLOCK_STEPS, steps - done)
-        chunks.append(rng.normal(0.0, 1.0, size=(1, nb, E, n)))
-        done += nb
-    dW = np.concatenate(chunks, axis=1)[0].reshape(steps, E * n)
-    corr = np.corrcoef(dW.T) - np.eye(E * n)
+    for k0 in range(0, steps, sde.BLOCK_STEPS):
+        nb = min(sde.BLOCK_STEPS, steps - k0)
+        chunks.append(noise.block(np.ones((nb, M))).copy())
+    z = np.concatenate(chunks, axis=1).transpose(1, 0, 2).reshape(steps, trials * M)
+    corr = np.corrcoef(z.T) - np.eye(trials * M)
     assert np.abs(corr).max() < 0.02
+    assert np.abs(z.var(axis=0) - 1.0).max() < 0.02
+    lag1 = (z[1:] * z[:-1]).mean(axis=0)
+    assert np.abs(lag1).max() < 0.02
+
+
+def _invariance_scenario(fig1):
+    return fig1.with_overrides(t_end=2.0, sample_times=np.linspace(0.0, 2.0, 21))
+
+
+def test_trials_invariant_to_trial_count(fig1):
+    """Trial t is keyed on (seed, t) alone: the first 8 trials of a 500-trial
+    run are an 8-trial run, bit for bit."""
+    scen = _invariance_scenario(fig1)
+    rec = sde._record_indices(scen, None)
+    few = sde._run_full(scen, 5, 8, rec)
+    many = sde._run_full(scen, 5, 500, rec)
+    assert np.array_equal(few, many[:8])
+
+
+def test_trials_invariant_to_block_steps(fig1, monkeypatch):
+    """Each stream is consumed step-major, so the block size changes nothing."""
+    scen = _invariance_scenario(fig1)
+    rec = sde._record_indices(scen, None)
+    assert sde.BLOCK_STEPS == 512
+    full, red = sde._run_full(scen, 5, 4, rec), sde._run_reduced(scen, 5, 4, rec)
+    monkeypatch.setattr(sde, "BLOCK_STEPS", 256)
+    assert np.array_equal(sde._run_full(scen, 5, 4, rec), full)
+    assert np.array_equal(sde._run_reduced(scen, 5, 4, rec), red)
+
+
+def test_single_trial_matches_trial_zero(fig1):
+    """A one-trial run is trial 0 of a batch up to round-off: BLAS takes a
+    matrix-vector path for a single row."""
+    scen = _invariance_scenario(fig1)
+    rec = sde._record_indices(scen, None)
+    one = sde._run_full(scen, 5, 1, rec)
+    batch = sde._run_full(scen, 5, 4, rec)
+    assert not np.array_equal(batch[0], batch[1])
+    assert np.abs(one[0] - batch[0]).max() <= 1e-12
+
+
+def test_noise_channels_match_dense_routing(fig1):
+    """q is the last-component diagonal of G G^T for the dense per-edge noise
+    routing G, with non-integer weights and an edge without noise; the
+    receivers' noises are uncorrelated."""
+    raw = json.loads(fig1.raw_json)
+    raw["graph"]["weights"][2][4] = 0.5
+    raw["graph"]["weights"][3][1] = 2.5
+    raw["noise"] = {"edges": [
+        {"to": 1, "from": 0, "rho": [1.0, 0.5, 2.0, 0.3]},
+        {"to": 2, "from": 0, "rho": 0.7},
+        {"to": 2, "from": 4, "rho": [0.2, 1.1, 0.0, 1.5]},
+        {"to": 3, "from": 1, "rho": [0.9, 0.4, 1.3, 0.6]},
+        {"to": 4, "from": 1, "rho": 0.0},
+        {"to": 4, "from": 3, "rho": [1.7, 0.1, 0.8, 1.2]},
+    ]}
+    scen = scenario_from_dict(raw)
+    fol = scen.graph.follower_indices
+    G = dense_noise_routing(scen, fol)
+    last = np.arange(len(fol)) * scen.plant.n + scen.plant.n - 1
+    GG = (G @ G.T)[np.ix_(last, last)]
+    assert np.array_equal(GG, np.diag(np.diag(GG)))
+    q = sde.noise_channels(scen, fol)
+    assert q.shape == (len(fol),)
+    assert np.allclose(q, np.diag(GG), rtol=1e-14, atol=0.0)
+
+
+def test_nonfinite_error_names_first_step(fig1):
+    """A finite but huge state overflows inside the first block; the error
+    names the first step that left the finite range, not the block's end,
+    and the trials that did."""
+    raw = json.loads(fig1.raw_json)
+    raw["init"]["states"][2] = [1e308] * 4
+    raw["integration"]["sample_times"] = [0.0]
+    scen = scenario_from_dict(raw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(sde.NonFiniteError, match=r"t = 0\.134 in 3 trial\(s\): 0, 1, 2") as exc:
+            sde._run_full(scen, 1, 3, np.array([0]))
+        assert exc.value.t < sde.BLOCK_STEPS * scen.dt
+        # The step before the named one is still finite.
+        before = scen.with_overrides(t_end=exc.value.t - scen.dt, sample_times=[0.0])
+        rec = np.array([before.steps])
+        assert np.isfinite(sde._run_full(before, 1, 3, rec)).all()
 
 
 def test_sample_times_sharing_a_step_rejected(fig1):
