@@ -1,4 +1,5 @@
-"""Shared fixed-step integration helpers: the sample-time grid map and classical RK4."""
+"""Shared fixed-step integration: the sample-time grid map and the package's one
+classical RK4, which takes its time-varying input precomputed at every stage."""
 
 from __future__ import annotations
 
@@ -26,29 +27,26 @@ def snap_to_grid(times, dt: float, steps: int, t0: float = 0.0):
     return idx, slot
 
 
-def rk4_step(f, t: float, y, dt: float):
-    """One classical fourth-order Runge-Kutta step of y' = f(t, y)."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_path(f, y0, inputs, dt: float, slot):
+    """Classical RK4 for y' = f(u, y) with the input u given at every stage.
 
-
-def rk4_path(f, y0, t0: float, t_end: float, dt: float, record_times):
-    """Integrate y' = f(t, y) on a uniform grid, recording at ``record_times``.
-
-    Recorded times are snapped to the nearest grid point.  Returns
-    (times, states) with states stacked along axis 0.
+    ``inputs[2k]``, ``inputs[2k + 1]`` and ``inputs[2k + 2]`` are the input at
+    the start, midpoint and end of step k.  ``slot`` is ``snap_to_grid``'s
+    step-to-sample map: its length is the step count plus one, and the state at
+    grid point k (y0 at k = 0) is stored as sample ``slot[k]`` unless that is -1.
+    Returns the samples stacked along axis 0.
     """
-    steps = int(round((t_end - t0) / dt))
-    idx, slot = snap_to_grid(record_times, dt, steps, t0)
     y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
-    states = np.empty((idx.size,) + y.shape, dtype=y.dtype)
+    states = np.empty((int(slot.max()) + 1,) + y.shape, dtype=y.dtype)
     if slot[0] >= 0:
         states[slot[0]] = y
-    for k in range(steps):
-        y = rk4_step(f, t0 + k * dt, y, dt)
+    for k in range(slot.size - 1):
+        u0, uh, u1 = inputs[2 * k], inputs[2 * k + 1], inputs[2 * k + 2]
+        k1 = f(u0, y)
+        k2 = f(uh, y + 0.5 * dt * k1)
+        k3 = f(uh, y + 0.5 * dt * k2)
+        k4 = f(u1, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if slot[k + 1] >= 0:
             states[slot[k + 1]] = y
-    return t0 + idx * dt, states
+    return states

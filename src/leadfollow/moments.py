@@ -6,9 +6,10 @@ For a linear SDE with additive noise the first two moments obey closed ODEs:
     P' = F(t) P + P F(t)^T + G(t) G(t)^T,
 
 with F(t) = I_N (x) (A + B K1) - Gains(t) L2 (x) B K2 and G(t) the stacked
-noise routing.  Integrating these with a classical fourth-order scheme gives
-the designated ground truth that every Monte Carlo estimate is checked against:
-no sampling error, only (checkable) discretization error.
+noise routing.  Integrating these with classical RK4 (``integrate.rk4_path`` on
+the state concat(m, P.ravel()), the gains precomputed on the half-step grid)
+gives the designated ground truth that every Monte Carlo estimate is checked
+against: no sampling error, only (checkable) discretization error.
 
 F and the noise routing come from the same assembly the path simulator uses
 (``plant.closed_loop_drift``, ``sde.noise_channels``).  The oracle's
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import snap_to_grid
+from .integrate import rk4_path, snap_to_grid
 from .sde import noise_channels
 from .series import MomentSeries
 
@@ -37,7 +38,9 @@ def evolve_moments(scen, grid=None, return_cov: bool = False):
     """Integrate the moment ODEs and sample them on ``grid`` (default scenario grid).
 
     Returns a MomentSeries with provenance "oracle"; with ``return_cov`` the
-    full covariance at the sample times is returned as a second value.
+    full covariance at the sample times is returned as a second value.  The
+    mse and the positive-semidefiniteness check come from the samples alone;
+    NonPSDError names the earliest sample whose covariance fails the check.
     """
     if scen.leaderless:
         raise ValueError("moment oracle requires a leader-following scenario")
@@ -51,56 +54,34 @@ def evolve_moments(scen, grid=None, return_cov: bool = False):
     q = noise_channels(scen, fol)
 
     rec_idx, wanted = snap_to_grid(scen.sample_times if grid is None else grid, dt, steps)
+    gains = scen.profile.gain_all(np.arange(2 * steps + 1) * (0.5 * dt))
 
-    m = (scen.init_states[fol] - scen.init_states[scen.graph.leader_index]).reshape(-1)
-    P = np.zeros((D, D))
-    mean_err = np.empty((rec_idx.size, N, n))
-    mse = np.empty((rec_idx.size, N))
-    cov = np.empty((rec_idx.size, D, D)) if return_cov else None
-
-    def record(s_i, m, P):
-        mean_err[s_i] = m.reshape(N, n)
-        for p in range(N):
-            blk = P[p * n:(p + 1) * n, p * n:(p + 1) * n]
-            mse[s_i, p] = float(m[p * n:(p + 1) * n] @ m[p * n:(p + 1) * n]) + np.trace(blk)
-        lam_min = float(np.linalg.eigvalsh(0.5 * (P + P.T)).min())
-        if lam_min < PSD_HARD_TOL:
-            raise NonPSDError(f"covariance eigenvalue {lam_min:.3e} at sample {s_i}")
-        if cov is not None:
-            cov[s_i] = P
-
-    if wanted[0] >= 0:
-        record(wanted[0], m, P)
-
-    # Precompute gains at all stage times (full and half grid).
-    all_gains = scen.profile.gain_all(np.arange(2 * steps + 1) * (0.5 * dt))
-
-    def deriv(a_vec, m, P):
+    def deriv(a_vec, y):
+        m, P = y[:D], y[D:].reshape(D, D)
         Fm = F(a_vec)
-        dm = Fm @ m
         dP = Fm @ P + P @ Fm.T
         dP[last, last] += a_vec * a_vec * q
-        return dm, dP
+        return np.concatenate([Fm @ m, dP.ravel()])
 
-    for k in range(steps):
-        a0 = all_gains[2 * k]
-        ah = all_gains[2 * k + 1]
-        a1 = all_gains[2 * k + 2]
-        k1m, k1P = deriv(a0, m, P)
-        k2m, k2P = deriv(ah, m + 0.5 * dt * k1m, P + 0.5 * dt * k1P)
-        k3m, k3P = deriv(ah, m + 0.5 * dt * k2m, P + 0.5 * dt * k2P)
-        k4m, k4P = deriv(a1, m + dt * k3m, P + dt * k3P)
-        m = m + (dt / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
-        P = P + (dt / 6.0) * (k1P + 2 * k2P + 2 * k3P + k4P)
-        s_i = wanted[k + 1]
-        if s_i >= 0:
-            record(s_i, m, P)
+    m0 = (scen.init_states[fol] - scen.init_states[scen.graph.leader_index]).reshape(-1)
+    y = rk4_path(deriv, np.concatenate([m0, np.zeros(D * D)]), gains, dt, wanted)
+    mean_err = y[:, :D].reshape(-1, N, n)
+    P = y[:, D:].reshape(-1, D, D)
+    mse = np.empty((rec_idx.size, N))
+    # In step order, so that NonPSDError names the first bad sample in time.
+    for s_i in np.argsort(rec_idx):
+        Ps = P[s_i]
+        mse[s_i] = [float(e @ e) + np.trace(Ps[p * n:(p + 1) * n, p * n:(p + 1) * n])
+                    for p, e in enumerate(mean_err[s_i])]
+        lam_min = float(np.linalg.eigvalsh(0.5 * (Ps + Ps.T)).min())
+        if lam_min < PSD_HARD_TOL:
+            raise NonPSDError(f"covariance eigenvalue {lam_min:.3e} at sample {s_i}")
 
     series = MomentSeries(
         times=rec_idx * dt, follower_ids=tuple(fol), mean_err=mean_err, mse=mse,
         halfwidth=None, provenance="oracle",
     )
-    return (series, cov) if return_cov else series
+    return (series, P) if return_cov else series
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Every agent shares the single-input companion-form plant
 
-    x' = A x + B u,      A = companion(alpha),  B = e_n,
+    x' = A x + B u,      A = companion((-alpha, 1)),  B = e_n,
 
 and the controller splits into a local part K1 = (-alpha_1, -alpha_2 - b_1, ...,
 -alpha_n - b_{n-1}) and a relative part K2 = (b_1, ..., b_{n-1}, 1).  Two
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .matrices import DegenerateRowError, is_hurwitz
+from .matrices import DegenerateRowError, companion, is_hurwitz
 
 IDENTITY_TOL = 1e-12
 
@@ -124,9 +124,7 @@ def build_plant(alpha, b) -> PlantModel:
         raise DimensionMismatchError(f"expected {n - 1} design parameters, got {b.size}")
     require_hurwitz(np.concatenate([b, [1.0]]), "design polynomial")
 
-    A = np.zeros((n, n))
-    A[:-1, 1:] = np.eye(n - 1)
-    A[-1, :] = alpha
+    A = companion(np.concatenate([-alpha, [1.0]]))
     B = np.zeros((n, 1))
     B[-1, 0] = 1.0
     K1 = np.zeros((1, n))

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sde
-from .integrate import rk4_path
+from .integrate import rk4_path, snap_to_grid
+from .matrices import companion
 from .plant import NotHurwitzError, require_hurwitz  # noqa: F401  (filter_response raises it)
 from .series import MomentSeries
 
@@ -106,10 +107,14 @@ class TransitionMatrix:
     r: int
     t0: float
     grid: np.ndarray            # (S,), increasing from t0
-    values: np.ndarray          # (S, r, r) complex
     gain_integral: np.ndarray   # (S,): int_{t0}^{t} a
     band: np.ndarray            # (S, r): P_0 .. P_{r-1}
     scaled_band: np.ndarray     # (S, r): P_i * exp(+lam * int a), always O(poly)
+
+    @property
+    def values(self) -> np.ndarray:
+        """(S, r, r) complex transition matrices, built from ``band`` on demand."""
+        return _toeplitz_upper(self.band)
 
     def log_norms(self) -> np.ndarray:
         """log of the spectral norm at every grid point, computed stably.
@@ -117,12 +122,8 @@ class TransitionMatrix:
         Factoring out the diagonal decay exp(-lam * int a) keeps the residual
         Toeplitz factor well scaled even when the raw entries underflow.
         """
-        out = np.empty(self.grid.size)
-        for s in range(self.grid.size):
-            out[s] = -self.lam.real * self.gain_integral[s] + np.log(
-                np.linalg.norm(_toeplitz_upper(self.scaled_band[s]), 2)
-            )
-        return out
+        norms = np.linalg.norm(_toeplitz_upper(self.scaled_band), 2, axis=(-2, -1))
+        return -self.lam.real * self.gain_integral + np.log(norms)
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -132,10 +133,12 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _toeplitz_upper(band: np.ndarray) -> np.ndarray:
-    r = band.size
-    m = np.zeros((r, r), dtype=band.dtype)
+    """(S, r, r) upper triangular Toeplitz matrices with diagonal i = band[:, i]."""
+    S, r = band.shape
+    m = np.zeros((S, r, r), dtype=band.dtype)
     for i in range(r):
-        m += band[i] * np.eye(r, k=i)
+        rows = np.arange(r - i)
+        m[:, rows, rows + i] = band[:, i, None]
     return m
 
 
@@ -180,12 +183,8 @@ def jordan_transition(lam: complex, gain_fn, r: int, t0: float, grid,
             raise QuadratureUnresolvedError(
                 f"estimated quadrature error {est:.2e} exceeds {quad_tol:.1e}"
             )
-    values = np.empty((grid.size, r, r), dtype=complex)
-    for s in range(grid.size):
-        values[s] = _toeplitz_upper(band[s])
     return TransitionMatrix(
-        lam=lam, r=r, t0=float(t0), grid=grid, values=values,
-        gain_integral=u, band=band, scaled_band=Q,
+        lam=lam, r=r, t0=float(t0), grid=grid, gain_integral=u, band=band, scaled_band=Q,
     )
 
 
@@ -194,12 +193,10 @@ def jordan_transition_ode(lam: complex, gain_fn, r: int, t0: float, grid) -> np.
     J = np.eye(r, dtype=complex) * lam + np.eye(r, k=1)
     grid = np.asarray(grid, dtype=float)
     dt = np.diff(grid).min()
-
-    def f(t, y):
-        return -float(gain_fn(np.asarray(t))) * (J @ y)
-
-    _, states = rk4_path(f, np.eye(r, dtype=complex), t0, grid[-1], dt, record_times=grid)
-    return states
+    steps = int(round((grid[-1] - t0) / dt))
+    _, slot = snap_to_grid(grid, dt, steps, t0)
+    gains = np.asarray(gain_fn(t0 + 0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
+    return rk4_path(lambda a, y: -a * (J @ y), np.eye(r, dtype=complex), gains, dt, slot)
 
 
 @dataclass(frozen=True)
@@ -287,21 +284,16 @@ def filter_response(b, drive_times, drive_values, init):
     if init.shape != (n,):
         raise GridMismatchError(f"initial state must have shape ({n},)")
 
-    comp = np.zeros((n, n))
-    comp[:-1, 1:] = np.eye(n - 1)
-    comp[-1] = -b[:n]
-    zmid = 0.5 * (z[:-1] + z[1:])
-    states = np.empty((t.size, n))
-    states[0] = init
-    y = init.copy()
-    forc = np.zeros(n)
-    forc[-1] = 1.0
-    for k in range(t.size - 1):
-        k1 = comp @ y + forc * z[k]
-        k2 = comp @ (y + 0.5 * dt * k1) + forc * zmid[k]
-        k3 = comp @ (y + 0.5 * dt * k2) + forc * zmid[k]
-        k4 = comp @ (y + dt * k3) + forc * z[k + 1]
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        states[k + 1] = y
+    comp = companion(b)
+    drive = np.empty(2 * t.size - 1)
+    drive[0::2] = z
+    drive[1::2] = 0.5 * (z[:-1] + z[1:])
+
+    def f(u, y):
+        dy = comp @ y
+        dy[-1] += u
+        return dy
+
+    states = rk4_path(f, init, drive, dt, np.arange(t.size))
     top = z - states @ b[:n]
     return t, np.column_stack([states, top])

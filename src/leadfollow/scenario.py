@@ -146,86 +146,111 @@ def _noise_model(cfg, graph: topology.Digraph, n: int) -> sde.NoiseModel:
     return sde.NoiseModel(edges=edges, rho=rho)
 
 
+def _non_finite_fields(node, path: str = "") -> list[str]:
+    """Dotted paths of the fields holding a NaN or an infinity, each listed once."""
+    if isinstance(node, dict):
+        found = [p for k, v in node.items()
+                 for p in _non_finite_fields(v, f"{path}.{k}" if path else str(k))]
+    elif isinstance(node, (list, tuple)):
+        found = [p for v in node for p in _non_finite_fields(v, path)]
+    else:
+        found = [path] if isinstance(node, float) and not np.isfinite(node) else []
+    return list(dict.fromkeys(found))
+
+
 def scenario_from_dict(raw: dict) -> SimScenario:
-    """Build and validate a scenario, aggregating every validation failure."""
-    failures: list[str] = []
+    """Build and validate a scenario, aggregating every validation failure.
+
+    A section holding a NaN or an infinity is reported once per such field and
+    is not built: the numerics behind it would fail or pass on garbage.
+    """
+    non_finite = _non_finite_fields(raw)
+    failures = [f"{p.split('.')[0]}: non-finite value in {p}" for p in non_finite]
+    skip = {p.split(".")[0] for p in non_finite}
     leaderless = bool(raw.get("leaderless", False))
 
     graph = lap = plant = profile = noise = None
-    try:
-        gcfg = raw["graph"]
-        graph = topology.build_digraph(
-            gcfg["weights"], int(gcfg.get("leader", 0)),
-            allow_leader_neighbors=leaderless,
-        )
-        lap = topology.laplacian_partition(graph)
-    except (KeyError, topology.GraphError) as exc:
-        failures.append(f"graph: {exc}")
+    if "graph" not in skip:
+        try:
+            gcfg = raw["graph"]
+            graph = topology.build_digraph(
+                gcfg["weights"], int(gcfg.get("leader", 0)),
+                allow_leader_neighbors=leaderless,
+            )
+            lap = topology.laplacian_partition(graph)
+        except (KeyError, topology.GraphError) as exc:
+            failures.append(f"graph: {exc}")
 
-    try:
-        pcfg = raw["plant"]
-        plant = plant_mod.build_plant(pcfg["alpha"], pcfg["b"])
-    except (KeyError, plant_mod.PlantError) as exc:
-        failures.append(f"plant: {exc}")
+    if "plant" not in skip:
+        try:
+            pcfg = raw["plant"]
+            plant = plant_mod.build_plant(pcfg["alpha"], pcfg["b"])
+        except (KeyError, plant_mod.PlantError) as exc:
+            failures.append(f"plant: {exc}")
 
     leader_gain = (1.0, 1.0, 1.0)
-    try:
-        ncfg = raw["gains"]
-        triples = np.asarray(ncfg["agents"], dtype=float)
-        if graph is not None and triples.shape[0] != graph.node_count:
-            raise gains_mod.GainError(
-                f"need one gain triple per node ({graph.node_count}), got {triples.shape[0]}"
-            )
-        if leaderless:
-            ids = list(range(triples.shape[0]))
-            profile = gains_mod.make_profile(triples, ncfg["beta"], agent_ids=ids)
-        else:
-            lead = graph.leader_index if graph is not None else 0
-            leader_gain = tuple(float(v) for v in triples[lead])
-            fol = [i for i in range(triples.shape[0]) if i != lead]
-            profile = gains_mod.make_profile(triples[fol], ncfg["beta"], agent_ids=fol)
-    except (KeyError, gains_mod.GainError) as exc:
-        failures.append(f"gains: {exc}")
+    if "gains" not in skip:
+        try:
+            ncfg = raw["gains"]
+            triples = np.asarray(ncfg["agents"], dtype=float)
+            if graph is not None and triples.shape[0] != graph.node_count:
+                raise gains_mod.GainError(
+                    f"need one gain triple per node ({graph.node_count}), got {triples.shape[0]}"
+                )
+            if leaderless:
+                ids = list(range(triples.shape[0]))
+                profile = gains_mod.make_profile(triples, ncfg["beta"], agent_ids=ids)
+            else:
+                lead = graph.leader_index if graph is not None else 0
+                leader_gain = tuple(float(v) for v in triples[lead])
+                fol = [i for i in range(triples.shape[0]) if i != lead]
+                profile = gains_mod.make_profile(triples[fol], ncfg["beta"], agent_ids=fol)
+        except (KeyError, gains_mod.GainError) as exc:
+            failures.append(f"gains: {exc}")
 
-    if graph is not None and plant is not None:
+    if graph is not None and plant is not None and "noise" not in skip:
         try:
             noise = _noise_model(raw["noise"], graph, plant.n)
         except (KeyError, ValueError) as exc:
             failures.append(f"noise: {exc}")
 
     init = None
-    try:
-        init = np.asarray(raw["init"]["states"], dtype=float)
-        if graph is not None and plant is not None and init.shape != (graph.node_count, plant.n):
-            failures.append(
-                f"init: expected shape {(graph.node_count, plant.n)}, got {init.shape}"
-            )
-            init = None
-    except KeyError as exc:
-        failures.append(f"init: missing {exc}")
+    if "init" not in skip:
+        try:
+            init = np.asarray(raw["init"]["states"], dtype=float)
+            if graph is not None and plant is not None:
+                if init.shape != (graph.node_count, plant.n):
+                    failures.append(
+                        f"init: expected shape {(graph.node_count, plant.n)}, got {init.shape}"
+                    )
+                    init = None
+        except KeyError as exc:
+            failures.append(f"init: missing {exc}")
 
     dt = t_end = None
     sample_times = None
-    try:
-        icfg = raw["integration"]
-        dt = float(icfg["dt"])
-        t_end = float(icfg["t_end"])
-        if dt <= 0 or t_end <= 0:
-            failures.append("integration: dt and t_end must be positive")
-        else:
-            sample_times = _resolve_sample_times(icfg.get("sample_times"), dt, t_end)
-    except (KeyError, ParseError) as exc:
-        failures.append(f"integration: {exc}")
+    if "integration" not in skip:
+        try:
+            icfg = raw["integration"]
+            dt = float(icfg["dt"])
+            t_end = float(icfg["t_end"])
+            if dt <= 0 or t_end <= 0:
+                failures.append("integration: dt and t_end must be positive")
+            else:
+                sample_times = _resolve_sample_times(icfg.get("sample_times"), dt, t_end)
+        except (KeyError, ParseError) as exc:
+            failures.append(f"integration: {exc}")
 
     trials, base_seed = 2, 0
-    try:
-        mcfg = raw.get("monte_carlo", {"trials": 2, "base_seed": 0})
-        trials = int(mcfg["trials"])
-        base_seed = int(mcfg["base_seed"])
-        if trials < 1:
-            failures.append("monte_carlo: trials must be >= 1")
-    except KeyError as exc:
-        failures.append(f"monte_carlo: missing {exc}")
+    if "monte_carlo" not in skip:
+        try:
+            mcfg = raw.get("monte_carlo", {"trials": 2, "base_seed": 0})
+            trials = int(mcfg["trials"])
+            base_seed = int(mcfg["base_seed"])
+            if trials < 1:
+                failures.append("monte_carlo: trials must be >= 1")
+        except KeyError as exc:
+            failures.append(f"monte_carlo: missing {exc}")
 
     if graph is not None and not leaderless and not topology.has_spanning_tree(graph):
         failures.append("graph: no spanning tree (set leaderless: true if intentional)")

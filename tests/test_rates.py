@@ -115,6 +115,21 @@ def test_jordan_recursion_vs_ode_battery():
         assert np.abs(tm.values - ode).max() <= 1e-6
 
 
+def test_batched_transition_matches_per_point_definition():
+    gain = lambda t: 1.5 * (np.asarray(t) + 0.5) ** -0.3  # noqa: E731
+    grid = np.linspace(0.5, 10.0, 8001)
+    tm = jordan_transition(1.2 + 0.3j, gain, 3, 0.5, grid)
+    values = tm.values
+    per_point = [np.log(np.linalg.norm(values[s], 2)) for s in range(grid.size)]
+    assert np.abs(tm.log_norms() - per_point).max() <= 1e-12
+
+    values = jordan_transition(1.2 + 0.3j, gain, 4, 0.5, grid).values
+    for i in range(4):
+        for j in range(4):
+            expected = values[:, 0, j - i] if j >= i else 0.0
+            assert np.array_equal(values[:, i, j], np.broadcast_to(expected, grid.shape))
+
+
 def test_jordan_coarse_grid_rejected():
     grid = np.linspace(0.5, 10.0, 41)
     with pytest.raises(QuadratureUnresolvedError):

@@ -53,6 +53,45 @@ def test_validation_aggregates_failures(fig1):
     assert len(exc.value.failures) >= 3
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _set(raw, path, value):
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("init", "states", 2, 0), NAN, "init.states"),
+    (("graph", "weights", 1, 0), INF, "graph.weights"),
+    (("integration", "dt"), NAN, "integration.dt"),
+    (("integration", "t_end"), INF, "integration.t_end"),
+    (("gains", "agents", 2, 0), INF, "gains.agents"),
+    (("plant", "alpha", 1), NAN, "plant.alpha"),
+])
+def test_non_finite_field_rejected(fig1, path, value, field):
+    raw = json.loads(fig1.raw_json)
+    _set(raw, path, value)
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.failures == [f"{path[0]}: non-finite value in {field}"]
+
+
+def test_non_finite_fields_all_listed(fig1):
+    """One failure per field, however many entries are bad; a section with a
+    non-finite field is not built, so its range checks add nothing."""
+    raw = json.loads(fig1.raw_json)
+    _set(raw, ("init", "states", 2, 0), NAN)
+    _set(raw, ("init", "states", 3, 1), -INF)
+    _set(raw, ("gains", "beta"), NAN)
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.failures == ["gains: non-finite value in gains.beta",
+                                  "init: non-finite value in init.states"]
+
+
 def test_missing_spanning_tree_needs_flag(fig1):
     raw = json.loads(fig1.raw_json)
     raw["graph"]["weights"] = np.zeros((5, 5)).tolist()
