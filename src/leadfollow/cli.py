@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .moments import evolve_moments
-from .rates import envelope_check, monte_carlo_moments
+from .rates import MIN_TRIALS, envelope_check, monte_carlo_moments
 from .scenario import ParseError, ValidationError, load_preset, load_scenario
 from .sde import simulate_full, trajectory_to_csv
 from .verify import oracle_deviation_sigmas, run_battery
@@ -38,6 +38,14 @@ def _resolve_scenario(config, preset, trials, seed, dt):
         lines = "\n  ".join(exc.failures)
         raise click.ClickException(f"config validation failed:\n  {lines}")
     return scen
+
+
+def _require_trials(scen) -> None:
+    if scen.trials < MIN_TRIALS:
+        raise click.ClickException(
+            f"scenario {scen.fingerprint}: Monte Carlo moments need --trials >= {MIN_TRIALS}, "
+            f"got {scen.trials}"
+        )
 
 
 def _out_dir(out, subcommand, scen) -> Path:
@@ -102,6 +110,7 @@ def moments(config, trials, seed, dt, out):
         raise click.ClickException(
             f"scenario {scen.fingerprint}: moments require a leader-following scenario"
         )
+    _require_trials(scen)
     run_dir = _out_dir(out, "moments", scen)
     _write_manifest(run_dir, "moments", scen)
     mc = monte_carlo_moments(scen)
@@ -122,6 +131,7 @@ def verify(config, trials, seed, dt, out):
         raise click.ClickException(
             f"scenario {scen.fingerprint}: verification requires a leader-following scenario"
         )
+    _require_trials(scen)
     run_dir = _out_dir(out, "verify", scen)
     _write_manifest(run_dir, "verify", scen)
     report = run_battery(scen)
@@ -140,6 +150,7 @@ def reproduce_fig1(config, trials, seed, dt, out):
     checked against the decaying envelope; exit 0 iff the violation fraction
     stays within the threshold for every follower."""
     scen = _resolve_scenario(config, "fig1", trials, seed, dt)
+    _require_trials(scen)
     run_dir = _out_dir(out, "reproduce-fig1", scen)
     _write_manifest(run_dir, "reproduce-fig1", scen)
     mc = monte_carlo_moments(scen)

@@ -16,8 +16,6 @@ from scipy.integrate import quad
 
 from .matrices import eigenvalues
 
-C2_SLACK = 0.01  # sandwich witness uses mu1' = 0.99 mu1 and mu2' = 1.01 mu2
-
 
 class GainError(ValueError):
     pass
@@ -53,18 +51,6 @@ class GainProfile:
     k: np.ndarray          # asymptotic coefficients mu_i scale_i^(-beta)
     c: np.ndarray          # k_i / max_j k_j, in (0, 1], at least one equal to 1
     mu1: float             # min k_i
-    mu2: float             # max k_i
-    threshold_time: float  # earliest t where the 0.99/1.01-slackened sandwich holds
-
-    def _index(self, agent: int) -> int:
-        try:
-            return self.agent_ids.index(agent)
-        except ValueError:
-            raise GainError(f"agent {agent} not covered by this profile") from None
-
-    def gain(self, agent: int, t) -> np.ndarray | float:
-        i = self._index(agent)
-        return self.mu[i] * (self.scale[i] * np.asarray(t, dtype=float) + self.shift[i]) ** (-self.beta)
 
     def gain_all(self, t) -> np.ndarray:
         """Gains of all covered agents; shape (..., len(agent_ids))."""
@@ -113,52 +99,10 @@ def make_profile(params, beta: float, agent_ids=None) -> GainProfile:
             raise GainError("agent_ids length must match the parameter list")
     k = mu * scale ** (-beta)
     c = k / k.max()
-    mu1, mu2 = float(k.min()), float(k.max())
-    T = _sandwich_threshold(mu, scale, shift, beta, mu1)
     return GainProfile(
         agent_ids=agent_ids, mu=_frozen(mu), scale=_frozen(scale), shift=_frozen(shift),
-        beta=beta, k=_frozen(k), c=_frozen(c), mu1=mu1, mu2=mu2, threshold_time=T,
+        beta=beta, k=_frozen(k), c=_frozen(c), mu1=float(k.min()),
     )
-
-
-def _sandwich_threshold(mu, scale, shift, beta, mu1) -> float:
-    """Smallest t with 0.99 mu1 t^-beta <= a_i(t) <= 1.01 mu2 t^-beta for all agents.
-
-    For this family a_i(t) t^beta increases monotonically to k_i, so the upper
-    inequality always holds for t > 0 and the lower one holds from some finite
-    time onward; that onset is located on a log grid and refined by bisection.
-    """
-    lo_target = (1.0 - C2_SLACK) * mu1
-
-    def ok(t: float) -> bool:
-        vals = mu * (scale * t + shift) ** (-beta) * t ** beta
-        return bool(np.all(vals >= lo_target))
-
-    grid = np.logspace(-6, 8, 141)
-    t_hi = None
-    for t in grid:
-        if ok(t):
-            t_hi = float(t)
-            break
-    if t_hi is None:  # pragma: no cover - unreachable for valid parameters
-        raise GainError("sandwich threshold not found below t = 1e8")
-    t_lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        if mid <= 0:
-            break
-        if ok(mid):
-            t_hi = mid
-        else:
-            t_lo = mid
-    return t_hi
-
-
-def eval_gain(profile: GainProfile, agent: int, t) -> float:
-    """Gain of one agent at time t >= 0 (finite at t = 0 thanks to shift > 0)."""
-    if np.any(np.asarray(t) < 0):
-        raise GainError("time must be nonnegative")
-    return profile.gain(agent, t)
 
 
 @dataclass(frozen=True)
@@ -166,12 +110,11 @@ class RateConstants:
     """Constants entering the mean and mean-square convergence-rate statements."""
 
     lambda_min: float          # min real part of eig(C L2)
-    eps: float
+    eps: float                 # min(1, lambda_min) / 2
     mean_exp_coeff: float      # mu1 (lambda_min - eps) / (1 - beta)
-    mean_square_exponent: float  # beta
 
 
-def rate_constants(profile: GainProfile, L2, eps="auto") -> RateConstants:
+def rate_constants(profile: GainProfile, L2) -> RateConstants:
     """Rate constants from the gain profile and the follower Laplacian block."""
     C = np.diag(profile.c)
     spec = eigenvalues(C @ np.asarray(L2, dtype=float))
@@ -180,22 +123,13 @@ def rate_constants(profile: GainProfile, L2, eps="auto") -> RateConstants:
         raise NonPositiveSpectrumError(
             f"min real part of eig(C L2) is {lam:.3e}; spanning-tree premise fails"
         )
-    cap = min(1.0, lam)
-    if eps == "auto":
-        eps_val = 0.5 * cap
-    else:
-        eps_val = float(eps)
-        if not (0.0 < eps_val < cap):
-            raise GainError(f"eps must lie in (0, {cap}), got {eps_val}")
-    coeff = profile.mu1 * (lam - eps_val) / (1.0 - profile.beta)
-    return RateConstants(
-        lambda_min=lam, eps=eps_val, mean_exp_coeff=coeff,
-        mean_square_exponent=profile.beta,
-    )
+    eps = 0.5 * min(1.0, lam)
+    coeff = profile.mu1 * (lam - eps) / (1.0 - profile.beta)
+    return RateConstants(lambda_min=lam, eps=eps, mean_exp_coeff=coeff)
 
 
-def decay_dominance_log_ratios(profile: GainProfile, b: float, ts, t0: float = 1.0) -> np.ndarray:
-    """log of exp(-b * int_{t0}^{t} envelope) / t^(-beta) at the requested times.
+def decay_dominance_log_ratios(profile: GainProfile, b: float, ts) -> np.ndarray:
+    """log of exp(-b * int_1^t envelope) / t^(-beta) at the requested times.
 
     The exponential loses to any power of t; the returned log-ratios should be
     strictly decreasing for this gain family.  Computed in log space because the
@@ -204,5 +138,5 @@ def decay_dominance_log_ratios(profile: GainProfile, b: float, ts, t0: float = 1
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     out = np.empty(ts.size)
     for idx, t in enumerate(ts):
-        out[idx] = -b * profile.envelope_integral(t0, float(t)) + profile.beta * np.log(t)
+        out[idx] = -b * profile.envelope_integral(1.0, float(t)) + profile.beta * np.log(t)
     return out

@@ -1,4 +1,4 @@
-"""Small dense matrix kernels: spectra, 2-norms, Kronecker products, Routh-Hurwitz.
+"""Small dense matrix kernels: spectra, companion matrices, Routh-Hurwitz.
 
 Everything here targets desk-scale matrices (dimension <= 64); dense LAPACK
 routines via numpy are more than adequate at that size.
@@ -40,18 +40,6 @@ def eigenvalues(m) -> Spectrum:
         raise NoConvergenceError(str(exc)) from exc
     vals = np.sort_complex(vals)
     return Spectrum(eigenvalues=vals, min_real_part=float(vals.real.min()))
-
-
-def spectral_norm(m) -> float:
-    """Largest singular value."""
-    a = np.asarray(m, dtype=float)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
-def kronecker(a, b) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def companion(coeffs) -> np.ndarray:

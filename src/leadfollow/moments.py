@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import rk4_path, snap_to_grid
+from .integrate import rk4_path
 from .sde import noise_channels
 from .series import MomentSeries
 
@@ -34,8 +34,8 @@ class NonPSDError(RuntimeError):
     """Covariance eigenvalue fell below tolerance; the integrator step failed."""
 
 
-def evolve_moments(scen, grid=None, return_cov: bool = False):
-    """Integrate the moment ODEs and sample them on ``grid`` (default scenario grid).
+def evolve_moments(scen, return_cov: bool = False):
+    """Integrate the moment ODEs and sample them at the scenario's sample times.
 
     Returns a MomentSeries with provenance "oracle"; with ``return_cov`` the
     full covariance at the sample times is returned as a second value.  The
@@ -53,7 +53,7 @@ def evolve_moments(scen, grid=None, return_cov: bool = False):
     last = F.last
     q = noise_channels(scen, fol)
 
-    rec_idx, wanted = snap_to_grid(scen.sample_times if grid is None else grid, dt, steps)
+    rec_idx, wanted = scen.sample_grid()
     gains = scen.profile.gain_all(np.arange(2 * steps + 1) * (0.5 * dt))
 
     def deriv(a_vec, y):

@@ -54,16 +54,12 @@ class PlantModel:
     A: np.ndarray            # (n, n) companion form
     B: np.ndarray            # (n, 1)
     K1: np.ndarray           # (1, n)
-    K2: np.ndarray           # (1, n)
+    K2: np.ndarray           # (1, n); K2[0] is the design polynomial, low to high
 
     @property
     def closed_loop_A(self) -> np.ndarray:
         """A + B K1, the leader's autonomous dynamics matrix."""
         return self.A + self.B @ self.K1
-
-    def stabilizer_poly(self) -> np.ndarray:
-        """Monic coefficients (low to high) of s^{n-1} + b_{n-1} s^{n-2} + ... + b_1."""
-        return np.concatenate([self.b, [1.0]])
 
 
 @dataclass(frozen=True)
@@ -144,13 +140,12 @@ def build_plant(alpha, b) -> PlantModel:
     )
 
 
-def leader_closed_loop(plant: PlantModel, x0_init, t_end: float, dt: float = 1e-3):
+def leader_closed_loop(plant: PlantModel, x0_init, t_end: float, dt: float) -> np.ndarray:
     """Propagate the leader's autonomous closed loop x0' = (A + B K1) x0.
 
     Each step of size ``dt`` applies the exact propagator expm((A + B K1) dt).
-    Returns (times, trajectory, limit_vector).  The limit is reported as the
-    propagated endpoint with components 2..n zeroed out, reflecting the
-    (v, 0, ..., 0) structure of the stationary state.
+    Returns the trajectory at t = k dt, k = 0..round(t_end / dt), shape
+    (steps + 1, n).
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -164,7 +159,4 @@ def leader_closed_loop(plant: PlantModel, x0_init, t_end: float, dt: float = 1e-
     traj[0] = x0
     for k in range(steps):
         traj[k + 1] = prop @ traj[k]
-    times = np.arange(steps + 1) * dt
-    limit = np.zeros(plant.n)
-    limit[0] = traj[-1, 0]
-    return times, traj, limit
+    return traj

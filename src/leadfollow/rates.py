@@ -31,15 +31,19 @@ class GridMismatchError(ValueError):
     pass
 
 
-def monte_carlo_moments(scen, trials: int | None = None, base_seed: int | None = None,
-                        sample_times=None) -> MomentSeries:
-    """Sample means of the follower errors and squared errors over many trials."""
-    trials = scen.trials if trials is None else int(trials)
-    base_seed = scen.base_seed if base_seed is None else int(base_seed)
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a variance estimate")
-    record_idx = sde._record_indices(scen, sample_times)
-    states = sde._run_full(scen, base_seed, trials, record_idx)
+MIN_TRIALS = 2  # the half-widths need a sample variance
+
+# No growth of the normalized transition ratio: tail max <= head max + log(GROWTH_SLACK).
+GROWTH_SLACK = 1.05
+
+
+def monte_carlo_moments(scen) -> MomentSeries:
+    """Sample means of the follower errors and squared errors over the
+    scenario's trials, at its sample times."""
+    trials = scen.trials
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials for a variance estimate")
+    states = sde._run_full(scen, scen.base_seed, trials)
     fol = scen.graph.follower_indices
     lead = scen.graph.leader_index
     err = states[:, :, fol, :] - states[:, :, [lead], :]
@@ -48,7 +52,7 @@ def monte_carlo_moments(scen, trials: int | None = None, base_seed: int | None =
     mse = sq.mean(axis=0)
     hw = 1.96 * sq.std(axis=0, ddof=1) / np.sqrt(trials)
     return MomentSeries(
-        times=record_idx * scen.dt, follower_ids=tuple(fol), mean_err=mean_err,
+        times=scen.sample_grid()[0] * scen.dt, follower_ids=tuple(fol), mean_err=mean_err,
         mse=mse, halfwidth=hw, provenance="monte_carlo",
     )
 
@@ -59,7 +63,6 @@ class PowerLawFit:
     window: tuple[float, float]
     slope: np.ndarray       # per follower
     intercept: np.ndarray
-    slope_stderr: np.ndarray
 
 
 def fit_power_law(series: MomentSeries, window: tuple[float, float]) -> PowerLawFit:
@@ -77,14 +80,9 @@ def fit_power_law(series: MomentSeries, window: tuple[float, float]) -> PowerLaw
     y = np.log(series.mse[mask])
     A = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    dof = x.size - 2
-    s2 = (resid ** 2).sum(axis=0) / dof
-    xvar = ((x - x.mean()) ** 2).sum()
-    stderr = np.sqrt(s2 / xvar)
     return PowerLawFit(
         follower_ids=series.follower_ids, window=(float(t_lo), float(t_hi)),
-        slope=coef[0], intercept=coef[1], slope_stderr=stderr,
+        slope=coef[0], intercept=coef[1],
     )
 
 
@@ -104,10 +102,7 @@ class TransitionMatrix:
     """Jordan-block transition matrix on a grid, upper triangular Toeplitz."""
 
     lam: complex
-    r: int
-    t0: float
-    grid: np.ndarray            # (S,), increasing from t0
-    gain_integral: np.ndarray   # (S,): int_{t0}^{t} a
+    gain_integral: np.ndarray   # (S,): int_{t0}^{t} a over the grid from t0
     band: np.ndarray            # (S, r): P_0 .. P_{r-1}
     scaled_band: np.ndarray     # (S, r): P_i * exp(+lam * int a), always O(poly)
 
@@ -183,9 +178,7 @@ def jordan_transition(lam: complex, gain_fn, r: int, t0: float, grid,
             raise QuadratureUnresolvedError(
                 f"estimated quadrature error {est:.2e} exceeds {quad_tol:.1e}"
             )
-    return TransitionMatrix(
-        lam=lam, r=r, t0=float(t0), grid=grid, gain_integral=u, band=band, scaled_band=Q,
-    )
+    return TransitionMatrix(lam=lam, gain_integral=u, band=band, scaled_band=Q)
 
 
 def jordan_transition_ode(lam: complex, gain_fn, r: int, t0: float, grid) -> np.ndarray:
@@ -209,46 +202,23 @@ class BoundEntry:
     no_growth: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    entries: tuple[BoundEntry, ...]
-
-    @property
-    def all_no_growth(self) -> bool:
-        return all(e.no_growth for e in self.entries)
-
-    def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            out.append(
-                f"lambda={e.lam:.4g} r={e.r} eps={e.eps:.4g} "
-                f"head_log_max={e.head_log_max:.4f} tail_log_max={e.tail_log_max:.4f} "
-                f"no_growth={e.no_growth}"
-            )
-        return out
-
-
-def transition_bound_check(lam_set, profile, eps: float, grid,
-                           growth_slack: float = 1.05,
-                           quad_tol: float = 1e-4) -> BoundReport:
+def transition_bound_check(blocks, profile, eps: float, grid) -> tuple[BoundEntry, ...]:
     """Finiteness witnesses for the envelope-driven transition-matrix bound.
 
-    For each lambda (optionally (lambda, block size) pairs) the normalized log
-    ratio log||Phi|| + (Re(lambda) - eps) int envelope is evaluated on the grid;
-    absence of growth is witnessed by tail max <= head max + log(slack).
+    For each (lambda, block size) pair the normalized log ratio
+    log||Phi|| + (Re(lambda) - eps) int envelope is evaluated on the grid;
+    absence of growth is witnessed by tail max <= head max + log(GROWTH_SLACK).
     All arithmetic stays in log space: the raw ratios under/overflow quickly.
     """
     grid = np.asarray(grid, dtype=float)
     entries = []
-    for item in lam_set:
-        lam, r = (item if isinstance(item, tuple) else (item, 1))
+    for lam, r in blocks:
         lam = complex(lam)
         if lam.real <= 0:
             raise ValueError(f"lambda must have positive real part, got {lam}")
         if not (0.0 < eps < lam.real):
             raise ValueError(f"eps must lie in (0, {lam.real}), got {eps}")
-        tm = jordan_transition(lam, profile.envelope, r, float(grid[0]), grid,
-                               quad_tol=quad_tol)
+        tm = jordan_transition(lam, profile.envelope, r, float(grid[0]), grid, quad_tol=1e-4)
         log_ratio = tm.log_norms() + (lam.real - eps) * tm.gain_integral
         head = grid <= grid[0] * 10.0
         tail = grid >= grid[-1] / 10.0
@@ -256,9 +226,9 @@ def transition_bound_check(lam_set, profile, eps: float, grid,
         tail_max = float(log_ratio[tail].max())
         entries.append(BoundEntry(
             lam=lam, r=r, eps=float(eps), head_log_max=head_max, tail_log_max=tail_max,
-            no_growth=tail_max <= head_max + np.log(growth_slack),
+            no_growth=tail_max <= head_max + np.log(GROWTH_SLACK),
         ))
-    return BoundReport(entries=tuple(entries))
+    return tuple(entries)
 
 
 def filter_response(b, drive_times, drive_values, init):

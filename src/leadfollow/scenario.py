@@ -15,10 +15,15 @@ A scenario is one self-contained JSON document::
 
 ``sample_times`` is either an explicit list or {"kind": "linspace"|"logspace",
 "start": ..., "stop": ..., "count": ...}; times are snapped to the integration
-grid.  The gains list covers every node including the leader.  A leaderless
-profile covers every node; in a leader-following scenario the leader's triple is
-only recorded, since the autonomous leader has no gain.
+grid, the grid the engines step on (t_end rounded to whole steps of dt), and
+times that share a step are merged.  The gains list covers every node
+including the leader.  A leaderless profile covers every node; in a
+leader-following scenario the leader's triple is ignored, since the autonomous
+leader has no gain.
 Validation is aggregated: every failure is reported, not just the first.
+
+The scenario is the only place that sets the sample times, the trial count and
+the noise seed; ``SimScenario.with_overrides`` derives one with other values.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import numpy as np
 from . import gains as gains_mod
 from . import plant as plant_mod
 from . import sde, topology
+from .integrate import snap_to_grid
 
 
 class ParseError(ValueError):
@@ -51,7 +57,6 @@ class SimScenario:
     lap: topology.LaplacianPartition
     plant: plant_mod.PlantModel
     profile: gains_mod.GainProfile          # followers (leader-following) or all nodes
-    leader_gain: tuple[float, float, float]  # recorded for fidelity; never enters the dynamics
     noise: sde.NoiseModel
     init_states: np.ndarray                  # (N+1, n)
     dt: float
@@ -67,16 +72,17 @@ class SimScenario:
         return int(round(self.t_end / self.dt))
 
     @property
-    def follower_ids(self) -> list[int]:
-        return self.graph.follower_indices
-
-    @property
     def sim_nodes(self) -> list[int]:
         """Nodes whose states are integrated, in ``profile.agent_ids`` order:
         every node when leaderless, else the followers."""
         if self.leaderless:
             return list(range(self.graph.node_count))
         return self.graph.follower_indices
+
+    def sample_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """``snap_to_grid`` of the sample times: (step of each sample, sample
+        stored at each step or -1)."""
+        return snap_to_grid(self.sample_times, self.dt, self.steps)
 
     def drift(self) -> plant_mod.ClosedLoopDrift:
         """Closed-loop drift F(a) of the ``sim_nodes``."""
@@ -116,6 +122,8 @@ def _resolve_sample_times(spec, dt: float, t_end: float) -> np.ndarray:
         start, stop = float(spec["start"]), float(spec["stop"])
         count = int(spec["count"])
         if kind == "logspace":
+            if min(start, stop) <= 0:
+                raise ParseError("logspace sample_times need start > 0 and stop > 0")
             arr = np.logspace(np.log10(start), np.log10(stop), count)
         elif kind == "linspace":
             arr = np.linspace(start, stop, count)
@@ -123,11 +131,12 @@ def _resolve_sample_times(spec, dt: float, t_end: float) -> np.ndarray:
             raise ParseError(f"unknown sample_times kind {kind!r}")
     else:
         arr = np.asarray(spec, dtype=float)
-    snapped = np.round(arr / dt) * dt
-    snapped = np.unique(snapped)
-    if snapped[0] < 0 or snapped[-1] > t_end + 0.5 * dt:
+    if arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise ParseError("sample_times must be a nonempty list of finite times")
+    idx = np.unique(np.rint(arr / dt))
+    if idx[0] < 0 or idx[-1] > round(t_end / dt):
         raise ParseError("sample_times outside [0, t_end]")
-    return np.minimum(snapped, t_end)
+    return idx * dt
 
 
 def _noise_model(cfg, graph: topology.Digraph, n: int) -> sde.NoiseModel:
@@ -188,7 +197,6 @@ def scenario_from_dict(raw: dict) -> SimScenario:
         except (KeyError, plant_mod.PlantError) as exc:
             failures.append(f"plant: {exc}")
 
-    leader_gain = (1.0, 1.0, 1.0)
     if "gains" not in skip:
         try:
             ncfg = raw["gains"]
@@ -202,7 +210,6 @@ def scenario_from_dict(raw: dict) -> SimScenario:
                 profile = gains_mod.make_profile(triples, ncfg["beta"], agent_ids=ids)
             else:
                 lead = graph.leader_index if graph is not None else 0
-                leader_gain = tuple(float(v) for v in triples[lead])
                 fol = [i for i in range(triples.shape[0]) if i != lead]
                 profile = gains_mod.make_profile(triples[fol], ncfg["beta"], agent_ids=fol)
         except (KeyError, gains_mod.GainError) as exc:
@@ -238,7 +245,7 @@ def scenario_from_dict(raw: dict) -> SimScenario:
                 failures.append("integration: dt and t_end must be positive")
             else:
                 sample_times = _resolve_sample_times(icfg.get("sample_times"), dt, t_end)
-        except (KeyError, ParseError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             failures.append(f"integration: {exc}")
 
     trials, base_seed = 2, 0
@@ -263,8 +270,8 @@ def scenario_from_dict(raw: dict) -> SimScenario:
     init.setflags(write=False)
     sample_times.setflags(write=False)
     scen = SimScenario(
-        graph=graph, lap=lap, plant=plant, profile=profile, leader_gain=leader_gain,
-        noise=noise, init_states=init, dt=dt, t_end=t_end, sample_times=sample_times,
+        graph=graph, lap=lap, plant=plant, profile=profile, noise=noise,
+        init_states=init, dt=dt, t_end=t_end, sample_times=sample_times,
         trials=trials, base_seed=base_seed, leaderless=leaderless,
         fingerprint=fingerprint, raw_json=raw_json,
     )

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import snap_to_grid
 from .plant import leader_closed_loop
 
 BLOCK_STEPS = 512
@@ -92,12 +91,6 @@ def _trial_streams(seed: int, trials: int) -> list[np.random.Generator]:
     # [seed, t], whatever the trial count or the block size.
     return [np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
             for t in range(trials)]
-
-
-def _record_indices(scen, record_times) -> np.ndarray:
-    if record_times is None:
-        record_times = scen.sample_times
-    return snap_to_grid(record_times, scen.dt, scen.steps)[0]
 
 
 def noise_channels(scen, nodes) -> np.ndarray:
@@ -160,9 +153,7 @@ class _ClosedLoop:
             self.forcing = None
         else:
             lead = scen.graph.leader_index
-            self.x0_path = leader_closed_loop(
-                plant, scen.init_states[lead], scen.t_end, self.dt
-            )[1]
+            self.x0_path = leader_closed_loop(plant, scen.init_states[lead], scen.t_end, self.dt)
             w0 = self.x0_path @ plant.K2[0]
             # Drift term -a_i(t) L1_i K2 x0(t) entering each follower's last component.
             self.forcing = -(self.gains * scen.lap.L1.T) * w0[:, None]
@@ -220,13 +211,14 @@ def _first_nonfinite(X, S, v, tail, k0, dt) -> NonFiniteError:
     return NonFiniteError((k0 + k + 1) * dt, bad)
 
 
-def _run_full(scen, seed: int, trials: int, record_idx: np.ndarray) -> np.ndarray:
-    """Batched Euler-Maruyama paths; returns (trials, S, node_count, n)."""
+def _run_full(scen, seed: int, trials: int) -> np.ndarray:
+    """Batched Euler-Maruyama paths at the S sample times; returns
+    (trials, S, node_count, n)."""
     cl = _ClosedLoop(scen)
     n, M, dt = cl.n, cl.M, cl.dt
     noise = _Noise(seed, trials, cl.noise_scale)
-    wanted = snap_to_grid(record_idx * dt, dt, cl.steps)[1]
-    out = np.empty((trials, record_idx.size, scen.graph.node_count, n))
+    idx, wanted = scen.sample_grid()
+    out = np.empty((trials, idx.size, scen.graph.node_count, n))
     lead = scen.graph.leader_index
 
     def block(k0, k1):
@@ -247,15 +239,16 @@ def _run_full(scen, seed: int, trials: int, record_idx: np.ndarray) -> np.ndarra
     return out
 
 
-def _run_reduced(scen, seed: int, trials: int, record_idx: np.ndarray) -> np.ndarray:
-    """Batched paths of the filtered error dynamics; returns (trials, S, N)."""
+def _run_reduced(scen, seed: int, trials: int) -> np.ndarray:
+    """Batched paths of the filtered error dynamics at the S sample times;
+    returns (trials, S, N)."""
     if scen.leaderless:
         raise SimulationError("the reduced error dynamics require a leader")
     cl = _ClosedLoop(scen)
     dt = cl.dt
     noise = _Noise(seed, trials, cl.noise_scale)
-    wanted = snap_to_grid(record_idx * dt, dt, cl.steps)[1]
-    out = np.empty((trials, record_idx.size, cl.M))
+    idx, wanted = scen.sample_grid()
+    out = np.empty((trials, idx.size, cl.M))
 
     K2 = scen.plant.K2[0]
     err0 = scen.init_states[cl.sim_nodes] - scen.init_states[scen.graph.leader_index]
@@ -273,23 +266,19 @@ def _run_reduced(scen, seed: int, trials: int, record_idx: np.ndarray) -> np.nda
     return out
 
 
-def simulate_full(scen, seed: int, record_times=None) -> Trajectory:
-    """One full-system path, sampled at ``record_times`` (default scenario grid)."""
-    record_idx = _record_indices(scen, record_times)
-    states = _run_full(scen, seed, 1, record_idx)[0]
+def simulate_full(scen, seed: int) -> Trajectory:
+    """One full-system path, sampled at the scenario's sample times."""
     return Trajectory(
-        times=record_idx * scen.dt, states=states, dt=scen.dt, seed=seed,
-        scenario_hash=scen.fingerprint, kind="full",
+        times=scen.sample_grid()[0] * scen.dt, states=_run_full(scen, seed, 1)[0],
+        dt=scen.dt, seed=seed, scenario_hash=scen.fingerprint, kind="full",
     )
 
 
-def simulate_reduced(scen, seed: int, record_times=None) -> Trajectory:
+def simulate_reduced(scen, seed: int) -> Trajectory:
     """One path of the reduced error dynamics, noise-consistent with simulate_full."""
-    record_idx = _record_indices(scen, record_times)
-    states = _run_reduced(scen, seed, 1, record_idx)[0]
     return Trajectory(
-        times=record_idx * scen.dt, states=states, dt=scen.dt, seed=seed,
-        scenario_hash=scen.fingerprint, kind="reduced",
+        times=scen.sample_grid()[0] * scen.dt, states=_run_reduced(scen, seed, 1)[0],
+        dt=scen.dt, seed=seed, scenario_hash=scen.fingerprint, kind="reduced",
     )
 
 

@@ -139,35 +139,28 @@ def has_spanning_tree(g: Digraph) -> bool:
     return False
 
 
-def random_spanning_tree_digraph(
-    node_count: int,
-    rng: np.random.Generator,
-    leader_index: int = 0,
-    extra_edge_prob: float = 0.3,
-) -> Digraph:
-    """Random digraph guaranteed to contain a spanning tree rooted at the leader.
+def random_spanning_tree_digraph(node_count: int, rng: np.random.Generator) -> Digraph:
+    """Random digraph guaranteed to contain a spanning tree rooted at leader 0.
 
-    A random directed tree rooted at the leader is sampled first (each non-leader
-    node gets one parent among the already-attached nodes), then every remaining
-    ordered pair gains an edge independently with probability ``extra_edge_prob``
-    and weight uniform in (0, 2].  Edges into the leader are never added.
+    A random directed tree rooted at the leader is sampled first (each follower
+    gets one parent among the already-attached nodes), then every remaining
+    ordered pair gains an edge independently with probability 0.3 and weight
+    uniform in (0, 2].  Edges into the leader are never added.
     """
     n = node_count
-    order = [leader_index] + [i for i in rng.permutation(n) if i != leader_index]
+    order = [0] + [i for i in rng.permutation(n) if i != 0]
     w = np.zeros((n, n))
     for pos in range(1, n):
         child = order[pos]
         parent = order[int(rng.integers(pos))]
         w[child, parent] = 2.0 * (1.0 - rng.random())  # uniform in (0, 2]
-    for i in range(n):
-        if i == leader_index:
-            continue
+    for i in range(1, n):
         for j in range(n):
             if i == j or w[i, j] > 0:
                 continue
-            if rng.random() < extra_edge_prob:
+            if rng.random() < 0.3:
                 w[i, j] = 2.0 * (1.0 - rng.random())
-    return build_digraph(w, leader_index)
+    return build_digraph(w, 0)
 
 
 def random_digraph(

@@ -169,9 +169,8 @@ def test_criterion_11_leaderless_counterexample(fig1, fig2):
     # (0, 10] to [150, 200] for every agent.  It is zero, and fails, without
     # noise: the paths are shifted by trial 0 first, so identical trials give
     # an exact zero rather than the round-off of their mean.
-    rec = sde._record_indices(fig2, None)
-    t2 = rec * fig2.dt
-    paths = sde._run_full(fig2, fig2.base_seed, 32, rec)
+    t2 = fig2.sample_times
+    paths = sde._run_full(fig2, fig2.base_seed, 32)
     spread = (paths - paths[:1]).var(axis=0).sum(axis=2)
     head = spread[(t2 > 0) & (t2 <= 10.0)].mean(axis=0)
     tail = spread[(t2 >= 150.0) & (t2 <= 200.0)].mean(axis=0)

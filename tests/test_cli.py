@@ -91,6 +91,19 @@ def test_invalid_config_rejected(runner, tmp_path):
     assert "validation failed" in res.output
 
 
+@pytest.mark.parametrize("subcommand", ["moments", "reproduce-fig1", "verify"])
+def test_single_trial_rejected(runner, small_config, tmp_path, subcommand):
+    """The Monte Carlo subcommands name the minimum trial count instead of
+    ending in a traceback, and write nothing."""
+    out = tmp_path / "out"
+    res = runner.invoke(main, [subcommand, "--config", small_config, "--trials", "1",
+                               "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "--trials >= 2" in res.output
+    assert not out.exists()
+
+
 def test_verify_passes_on_bundled_scenario(runner, tmp_path):
     """Reduced-trial run of the full battery on the bundled scenario: every
     check passes, the report lists one value/threshold line per check, and the

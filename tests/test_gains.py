@@ -3,7 +3,7 @@ import pytest
 
 from leadfollow.gains import (
     BadExponentError, GainError, NonPositiveParamError, NonPositiveSpectrumError,
-    decay_dominance_log_ratios, eval_gain, make_profile, rate_constants,
+    decay_dominance_log_ratios, make_profile, rate_constants,
 )
 
 FIG1_FOLLOWER_TRIPLES = [
@@ -27,14 +27,13 @@ def test_reference_profile_constants(follower_profile):
     assert np.allclose(p.k, [1.2, 0.9666, 0.6, 0.8615], atol=5e-4)
     assert np.allclose(p.c, [1.0, 0.8055, 0.5, 0.7179], atol=5e-4)
     assert p.mu1 == pytest.approx(0.6)
-    assert p.mu2 == pytest.approx(1.2)
     assert p.c.max() == 1.0
 
 
 def test_single_agent_profile():
     p = make_profile([(1.0, 1.0, 1.0)], 0.5)
     assert np.array_equal(p.c, [1.0])
-    assert p.mu1 == p.mu2 == 1.0
+    assert p.mu1 == 1.0
 
 
 def test_profile_rejections():
@@ -49,20 +48,14 @@ def test_profile_rejections():
 
 
 def test_gain_values_at_zero(follower_profile):
-    assert eval_gain(follower_profile, 1, 0.0) == pytest.approx(1.2)
-    assert eval_gain(follower_profile, 2, 0.0) == pytest.approx(1.5)
-    with pytest.raises(GainError):
-        eval_gain(follower_profile, 1, -0.5)
-    with pytest.raises(GainError):
-        eval_gain(follower_profile, 99, 1.0)
+    assert follower_profile.gain_all(0.0)[:2] == pytest.approx([1.2, 1.5])
 
 
 def test_gain_asymptotics(follower_profile):
     p = follower_profile
     t = 1e6
-    for idx, agent in enumerate(p.agent_ids):
-        ratio = eval_gain(p, agent, t) / (p.k[idx] * t ** -0.4)
-        assert ratio == pytest.approx(1.0, abs=1e-3)
+    ratio = p.gain_all(t) / (p.k * t ** -0.4)
+    assert ratio == pytest.approx(np.ones(4), abs=1e-3)
 
 
 def test_envelope_dominates_and_is_attained(follower_profile):
@@ -76,25 +69,14 @@ def test_envelope_dominates_and_is_attained(follower_profile):
 
 def test_ratio_limits(follower_profile):
     p = follower_profile
-    env = p.envelope(1e5)
-    for idx, agent in enumerate(p.agent_ids):
-        assert eval_gain(p, agent, 1e5) / env == pytest.approx(p.c[idx], abs=1e-2)
-
-
-def test_sandwich_threshold(follower_profile):
-    p = follower_profile
-    t = np.geomspace(p.threshold_time, 1e6, 200)
-    vals = p.gain_all(t) * t[:, None] ** p.beta
-    assert np.all(vals >= 0.99 * p.mu1 - 1e-12)
-    assert np.all(vals <= 1.01 * p.mu2 + 1e-12)
+    assert p.gain_all(1e5) / p.envelope(1e5) == pytest.approx(p.c, abs=1e-2)
 
 
 def test_rate_constants_scalar():
     p = make_profile([(1.0, 1.0, 1.0)], 0.4)
     consts = rate_constants(p, [[1.0]])
     assert consts.lambda_min == pytest.approx(1.0)
-    assert consts.eps == pytest.approx(0.5)  # auto default: min{1, lambda_min}/2
-    assert consts.mean_square_exponent == 0.4
+    assert consts.eps == pytest.approx(0.5)  # min{1, lambda_min}/2
 
 
 def test_rate_constants_reference(follower_profile):
@@ -110,8 +92,6 @@ def test_rate_constants_reference(follower_profile):
     assert consts.mean_exp_coeff == pytest.approx(
         0.6 * (consts.lambda_min - consts.eps) / 0.6
     )
-    with pytest.raises(GainError):
-        rate_constants(follower_profile, L2, eps=2.0)
 
 
 def test_rate_constants_bad_spectrum(follower_profile):

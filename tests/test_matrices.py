@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from leadfollow.matrices import (
-    DegenerateRowError, companion, eigenvalues, is_hurwitz, kronecker,
-    spectral_norm,
-)
+from leadfollow.matrices import DegenerateRowError, companion, eigenvalues, is_hurwitz
 from leadfollow.topology import build_digraph, laplacian_partition
 
 from conftest import fig1_weights
@@ -38,36 +35,6 @@ def test_spectrum_trace_and_determinant():
         assert np.sum(vals).real == pytest.approx(np.trace(m), rel=1e-7, abs=1e-7)
         det = np.linalg.det(m)
         assert np.prod(vals).real == pytest.approx(det, rel=1e-6, abs=1e-6 * max(1, abs(det)))
-
-
-def test_spectral_norms():
-    assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
-    assert spectral_norm(np.zeros((4, 4))) == 0.0
-    # largest singular value of [[1,1],[0,1]] is the golden ratio
-    assert spectral_norm(np.array([[1.0, 1.0], [0.0, 1.0]])) == pytest.approx(
-        (1.0 + np.sqrt(5.0)) / 2.0, rel=1e-8
-    )
-
-
-def test_spectral_norm_matches_gram_spectrum():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        m = rng.standard_normal((5, 3))
-        lam = np.max(eigenvalues(m.T @ m).eigenvalues.real)
-        assert spectral_norm(m) == pytest.approx(np.sqrt(lam), rel=1e-7)
-
-
-def test_kronecker_basics():
-    assert np.array_equal(kronecker(np.eye(2), [[5.0]]), np.diag([5.0, 5.0]))
-    assert np.array_equal(kronecker([[1.0], [2.0]], [[3.0]]), [[3.0], [6.0]])
-
-
-def test_kronecker_mixed_product():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        a, b, c, d = (rng.standard_normal((2, 2)) for _ in range(4))
-        left = kronecker(a, b) @ kronecker(c, d)
-        assert np.allclose(left, kronecker(a @ c, b @ d), atol=1e-12)
 
 
 def test_hurwitz_examples():

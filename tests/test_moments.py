@@ -78,12 +78,11 @@ def test_reduced_space_second_moment_consistency(fig1):
     series, cov = lf.evolve_moments(scen, return_cov=True)
     K2 = scen.plant.K2[0]
     IK = np.kron(np.eye(4), K2.reshape(1, 4))
-    rec = sde._record_indices(scen, None)
-    paths = sde._run_reduced(scen, scen.base_seed, scen.trials, rec)
+    paths = sde._run_reduced(scen, scen.base_seed, scen.trials)
     sq = (paths ** 2).sum(axis=2)
     mc = sq.mean(axis=0)
     se = sq.std(axis=0, ddof=1) / np.sqrt(scen.trials)
-    for s in range(rec.size):
+    for s in range(paths.shape[1]):
         proj = series.mean_err[s] @ K2
         exact = np.trace(IK @ cov[s] @ IK.T) + proj @ proj
         assert abs(mc[s] - exact) <= 3.0 * se[s]

@@ -15,7 +15,6 @@ def test_fig1_preset(fig1):
     assert not fig1.leaderless
     assert fig1.profile.beta == 0.4
     assert fig1.profile.agent_ids == (1, 2, 3, 4)
-    assert fig1.leader_gain == (0.15, 1.0, 1.0)
     assert np.all(fig1.noise.rho == 1.0)
     assert fig1.trials == 500
     assert fig1.dt == 1e-3
@@ -143,6 +142,37 @@ def test_sample_time_resolution(fig1):
     scen = scenario_from_dict(raw)
     # snapped to the dt grid and deduplicated
     assert np.allclose(scen.sample_times, [0.0, 1.0, 1.001, 50.0])
+
+
+@pytest.mark.parametrize("spec", [
+    [],
+    "abc",
+    {"kind": "linspace", "start": 0.0, "stop": 10.0, "count": 0},
+    {"kind": "linspace", "start": 0.0, "stop": 10.0, "count": -3},
+    {"kind": "linspace", "start": 0.0, "stop": 10.0, "count": "abc"},
+    {"kind": "logspace", "start": 0.0, "stop": 10.0, "count": 2},
+    {"kind": "logspace", "start": -1.0, "stop": 10.0, "count": 5},
+], ids=["empty", "string", "count-0", "count-negative", "count-string",
+        "logspace-start-0", "logspace-start-negative"])
+def test_malformed_sample_times_rejected(fig1, spec):
+    """Each malformed sample-time spec is one aggregated integration failure,
+    not an IndexError, a bare ValueError or NaN sample times."""
+    raw = json.loads(fig1.raw_json)
+    raw["integration"]["sample_times"] = spec
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict(raw)
+    assert len(exc.value.failures) == 1
+    assert exc.value.failures[0].startswith("integration: ")
+
+
+def test_last_sample_on_engine_grid(fig1):
+    """t_end = 5 is not a whole number of dt = 0.003 steps: the engines step
+    to steps * dt = 5.001, and the scenario's last sample time is that time."""
+    scen = fig1.with_overrides(dt=0.003, t_end=5.0, sample_times=[0.0, 2.5, 5.0])
+    assert scen.steps * scen.dt == pytest.approx(5.001)
+    assert scen.sample_times[-1] == scen.steps * scen.dt
+    assert np.array_equal(lf.simulate_full(scen, 1).times, scen.sample_times)
+    assert np.array_equal(lf.evolve_moments(scen).times, scen.sample_times)
 
 
 def test_horizon_override_moves_grid_spec(fig1):

@@ -5,6 +5,7 @@ import pytest
 
 import leadfollow as lf
 from leadfollow import sde
+from leadfollow.integrate import snap_to_grid
 from leadfollow.scenario import scenario_from_dict
 
 from conftest import dense_noise_routing
@@ -99,30 +100,27 @@ def test_trials_invariant_to_trial_count(fig1):
     """Trial t is keyed on (seed, t) alone: the first 8 trials of a 500-trial
     run are an 8-trial run, bit for bit."""
     scen = _invariance_scenario(fig1)
-    rec = sde._record_indices(scen, None)
-    few = sde._run_full(scen, 5, 8, rec)
-    many = sde._run_full(scen, 5, 500, rec)
+    few = sde._run_full(scen, 5, 8)
+    many = sde._run_full(scen, 5, 500)
     assert np.array_equal(few, many[:8])
 
 
 def test_trials_invariant_to_block_steps(fig1, monkeypatch):
     """Each stream is consumed step-major, so the block size changes nothing."""
     scen = _invariance_scenario(fig1)
-    rec = sde._record_indices(scen, None)
     assert sde.BLOCK_STEPS == 512
-    full, red = sde._run_full(scen, 5, 4, rec), sde._run_reduced(scen, 5, 4, rec)
+    full, red = sde._run_full(scen, 5, 4), sde._run_reduced(scen, 5, 4)
     monkeypatch.setattr(sde, "BLOCK_STEPS", 256)
-    assert np.array_equal(sde._run_full(scen, 5, 4, rec), full)
-    assert np.array_equal(sde._run_reduced(scen, 5, 4, rec), red)
+    assert np.array_equal(sde._run_full(scen, 5, 4), full)
+    assert np.array_equal(sde._run_reduced(scen, 5, 4), red)
 
 
 def test_single_trial_matches_trial_zero(fig1):
     """A one-trial run is trial 0 of a batch up to round-off: BLAS takes a
     matrix-vector path for a single row."""
     scen = _invariance_scenario(fig1)
-    rec = sde._record_indices(scen, None)
-    one = sde._run_full(scen, 5, 1, rec)
-    batch = sde._run_full(scen, 5, 4, rec)
+    one = sde._run_full(scen, 5, 1)
+    batch = sde._run_full(scen, 5, 4)
     assert not np.array_equal(batch[0], batch[1])
     assert np.abs(one[0] - batch[0]).max() <= 1e-12
 
@@ -163,26 +161,20 @@ def test_nonfinite_error_names_first_step(fig1):
     scen = scenario_from_dict(raw)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(sde.NonFiniteError, match=r"t = 0\.134 in 3 trial\(s\): 0, 1, 2") as exc:
-            sde._run_full(scen, 1, 3, np.array([0]))
+            sde._run_full(scen, 1, 3)
         assert exc.value.t < sde.BLOCK_STEPS * scen.dt
         # The step before the named one is still finite.
-        before = scen.with_overrides(t_end=exc.value.t - scen.dt, sample_times=[0.0])
-        rec = np.array([before.steps])
-        assert np.isfinite(sde._run_full(before, 1, 3, rec)).all()
+        t_before = exc.value.t - scen.dt
+        before = scen.with_overrides(t_end=t_before, sample_times=[t_before])
+        assert np.isfinite(sde._run_full(before, 1, 3)).all()
 
 
-def test_sample_times_sharing_a_step_rejected(fig1):
+def test_sample_times_sharing_a_step_rejected():
     """Distinct sample times that snap to one step would leave a sample slot
-    unwritten; every sampled entry point rejects them and names the times."""
-    scen = fig1.with_overrides(t_end=2.0, trials=2, sample_times=[0.0, 2.0])
-    times = [1.0, 1.0002, 2.0]
-    for run in (lambda: lf.simulate_full(scen, 1, times),
-                lambda: lf.evolve_moments(scen, grid=times),
-                lambda: lf.monte_carlo_moments(scen, sample_times=times)):
-        with pytest.raises(ValueError, match=r"\[1\.0, 1\.0002\]"):
-            run()
-    with pytest.raises(ValueError, match=r"\[1\.0, 1\.0\]"):
-        sde._run_full(scen, 1, 2, np.array([1000, 1000, 2000]))
+    unwritten; the step map every engine samples through rejects them and
+    names the times.  (Scenario validation merges such times first.)"""
+    with pytest.raises(ValueError, match=r"\[1\.0, 1\.0002\]"):
+        snap_to_grid([1.0, 1.0002, 2.0], 1e-3, 2000)
 
 
 def test_reduced_requires_leader(fig2):
