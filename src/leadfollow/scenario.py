@@ -19,8 +19,10 @@ grid, the grid the engines step on (t_end rounded to whole steps of dt), and
 times that share a step are merged.  The gains list covers every node
 including the leader.  A leaderless profile covers every node; in a
 leader-following scenario the leader's triple is ignored, since the autonomous
-leader has no gain.
-Validation is aggregated: every failure is reported, not just the first.
+leader has no gain.  ``leaderless`` must be a JSON boolean and
+``monte_carlo`` may be left out (2 trials, seed 0).
+Validation is aggregated: every failure is reported, not just the first, and
+each starts with the name of its section.
 
 The scenario is the only place that sets the sample times, the trial count and
 the noise seed; ``SimScenario.with_overrides`` derives one with other values.
@@ -39,6 +41,7 @@ from . import gains as gains_mod
 from . import plant as plant_mod
 from . import sde, topology
 from .integrate import snap_to_grid
+from .matrices import MAX_DIM
 
 
 class ParseError(ValueError):
@@ -101,10 +104,12 @@ class SimScenario:
             if isinstance(spec, dict) and float(spec["stop"]) == float(raw["integration"]["t_end"]):
                 spec["stop"] = t_end
             raw["integration"]["t_end"] = t_end
-        if trials is not None:
-            raw["monte_carlo"]["trials"] = trials
-        if base_seed is not None:
-            raw["monte_carlo"]["base_seed"] = base_seed
+        if trials is not None or base_seed is not None:
+            mc = raw.setdefault("monte_carlo", {"trials": self.trials, "base_seed": self.base_seed})
+            if trials is not None:
+                mc["trials"] = trials
+            if base_seed is not None:
+                mc["base_seed"] = base_seed
         if sample_times is not None:
             raw["integration"]["sample_times"] = list(np.asarray(sample_times, dtype=float))
         if rho is not None:
@@ -140,28 +145,74 @@ def _resolve_sample_times(spec, dt: float, t_end: float) -> np.ndarray:
 
 
 def _noise_model(cfg, graph: topology.Digraph, n: int) -> sde.NoiseModel:
-    if "rho" in cfg:
-        return sde.uniform_noise(graph, n, float(cfg["rho"]))
     edges = tuple(graph.edges())
-    rho = np.zeros((len(edges), n))
-    index = {e: k for k, e in enumerate(edges)}
-    for entry in cfg["edges"]:
-        key = (int(entry["to"]), int(entry["from"]))
-        if key not in index:
-            raise ValidationError([f"noise entry for nonexistent edge {key}"])
-        val = np.asarray(entry["rho"], dtype=float)
-        rho[index[key]] = val if val.shape else np.full(n, float(val))
+    if "rho" in cfg:
+        rho = np.full((len(edges), n), float(cfg["rho"]))
+    else:
+        rho = np.zeros((len(edges), n))
+        index = {e: k for k, e in enumerate(edges)}
+        for entry in cfg["edges"]:
+            key = (int(entry["to"]), int(entry["from"]))
+            if key not in index:
+                raise ValueError(f"entry for nonexistent edge {key}")
+            val = np.asarray(entry["rho"], dtype=float)
+            rho[index[key]] = val if val.shape else np.full(n, float(val))
     rho.setflags(write=False)
     return sde.NoiseModel(edges=edges, rho=rho)
 
 
+def _gain_profile(cfg, graph, leaderless) -> gains_mod.GainProfile:
+    """Gains of the simulated nodes; the node count is checked when the graph section built."""
+    triples = np.asarray(cfg["agents"], dtype=float)
+    if triples.ndim != 2:
+        raise gains_mod.GainError("expected per-agent (mu, scale, shift) triples")
+    if graph is not None and len(triples) != graph.node_count:
+        raise gains_mod.GainError(
+            f"need one gain triple per node ({graph.node_count}), got {len(triples)}"
+        )
+    lead = None if leaderless else (graph.leader_index if graph is not None else 0)
+    ids = [i for i in range(len(triples)) if i != lead]
+    return gains_mod.make_profile(triples[ids], cfg["beta"], agent_ids=ids)
+
+
+def _init_states(cfg, graph, plant) -> np.ndarray:
+    init = np.asarray(cfg["states"], dtype=float)
+    if graph is not None and plant is not None and init.shape != (graph.node_count, plant.n):
+        raise ValueError(f"expected shape {(graph.node_count, plant.n)}, got {init.shape}")
+    return init
+
+
+def _integration(cfg) -> tuple[float, float, np.ndarray]:
+    dt, t_end = float(cfg["dt"]), float(cfg["t_end"])
+    if dt <= 0 or t_end <= 0:
+        raise ValueError("dt and t_end must be positive")
+    return dt, t_end, _resolve_sample_times(cfg.get("sample_times"), dt, t_end)
+
+
+def _monte_carlo(cfg) -> tuple[int, int]:
+    trials, base_seed = int(cfg["trials"]), int(cfg["base_seed"])
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 0 <= base_seed < 2 ** 64:
+        raise ValueError(f"base_seed must lie in [0, 2**64), got {base_seed}")
+    return trials, base_seed
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _non_finite_fields(node, path: str = "") -> list[str]:
-    """Dotted paths of the fields holding a NaN or an infinity, each listed once."""
+    """Dotted paths of the fields holding a NaN, an infinity or a null array
+    element (numpy reads it as NaN), each listed once."""
     if isinstance(node, dict):
         found = [p for k, v in node.items()
                  for p in _non_finite_fields(v, f"{path}.{k}" if path else str(k))]
     elif isinstance(node, (list, tuple)):
-        found = [p for v in node for p in _non_finite_fields(v, path)]
+        found = [p for v in node
+                 for p in ([path] if v is None else _non_finite_fields(v, path))]
     else:
         found = [path] if isinstance(node, float) and not np.isfinite(node) else []
     return list(dict.fromkeys(found))
@@ -170,108 +221,57 @@ def _non_finite_fields(node, path: str = "") -> list[str]:
 def scenario_from_dict(raw: dict) -> SimScenario:
     """Build and validate a scenario, aggregating every validation failure.
 
-    A section holding a NaN or an infinity is reported once per such field and
-    is not built: the numerics behind it would fail or pass on garbage.
+    Each failure starts with the name of its section.  A section holding a NaN,
+    an infinity or a null array element is reported once per such field and is
+    not built: the numerics behind it would fail or pass on garbage.
     """
+    if not isinstance(raw, dict):
+        raise ParseError(f"a scenario is a JSON object, got {type(raw).__name__}")
     non_finite = _non_finite_fields(raw)
     failures = [f"{p.split('.')[0]}: non-finite value in {p}" for p in non_finite]
-    skip = {p.split(".")[0] for p in non_finite}
-    leaderless = bool(raw.get("leaderless", False))
+    failed = {p.split(".")[0] for p in non_finite}
 
-    graph = lap = plant = profile = noise = None
-    if "graph" not in skip:
-        try:
-            gcfg = raw["graph"]
-            graph = topology.build_digraph(
-                gcfg["weights"], int(gcfg.get("leader", 0)),
-                allow_leader_neighbors=leaderless,
-            )
-            lap = topology.laplacian_partition(graph)
-        except (KeyError, topology.GraphError) as exc:
-            failures.append(f"graph: {exc}")
+    def section(name, build, *needs):
+        """build(raw[name]), or None with the failure listed.  A section that
+        is non-finite or needs a section that failed is not built."""
+        if name not in failed and not failed.intersection(needs):
+            try:
+                return build(raw[name])
+            except KeyError as exc:
+                failures.append(f"{name}: missing {exc}")
+            except (TypeError, ValueError) as exc:
+                failures.append(f"{name}: {exc}")
+        failed.add(name)
+        return None
 
-    if "plant" not in skip:
-        try:
-            pcfg = raw["plant"]
-            plant = plant_mod.build_plant(pcfg["alpha"], pcfg["b"])
-        except (KeyError, plant_mod.PlantError) as exc:
-            failures.append(f"plant: {exc}")
+    leaderless = section("leaderless", _boolean) if "leaderless" in raw else False
+    graph = section("graph", lambda cfg: topology.build_digraph(
+        cfg["weights"], int(cfg.get("leader", 0)), allow_leader_neighbors=leaderless))
+    plant = section("plant", lambda cfg: plant_mod.build_plant(cfg["alpha"], cfg["b"]))
+    profile = section("gains", lambda cfg: _gain_profile(cfg, graph, leaderless))
+    noise = section("noise", lambda cfg: _noise_model(cfg, graph, plant.n), "graph", "plant")
+    init = section("init", lambda cfg: _init_states(cfg, graph, plant))
+    integration = section("integration", _integration)
+    mc = section("monte_carlo", _monte_carlo) if "monte_carlo" in raw else (2, 0)
 
-    if "gains" not in skip:
-        try:
-            ncfg = raw["gains"]
-            triples = np.asarray(ncfg["agents"], dtype=float)
-            if graph is not None and triples.shape[0] != graph.node_count:
-                raise gains_mod.GainError(
-                    f"need one gain triple per node ({graph.node_count}), got {triples.shape[0]}"
-                )
-            if leaderless:
-                ids = list(range(triples.shape[0]))
-                profile = gains_mod.make_profile(triples, ncfg["beta"], agent_ids=ids)
-            else:
-                lead = graph.leader_index if graph is not None else 0
-                fol = [i for i in range(triples.shape[0]) if i != lead]
-                profile = gains_mod.make_profile(triples[fol], ncfg["beta"], agent_ids=fol)
-        except (KeyError, gains_mod.GainError) as exc:
-            failures.append(f"gains: {exc}")
-
-    if graph is not None and plant is not None and "noise" not in skip:
-        try:
-            noise = _noise_model(raw["noise"], graph, plant.n)
-        except (KeyError, ValueError) as exc:
-            failures.append(f"noise: {exc}")
-
-    init = None
-    if "init" not in skip:
-        try:
-            init = np.asarray(raw["init"]["states"], dtype=float)
-            if graph is not None and plant is not None:
-                if init.shape != (graph.node_count, plant.n):
-                    failures.append(
-                        f"init: expected shape {(graph.node_count, plant.n)}, got {init.shape}"
-                    )
-                    init = None
-        except KeyError as exc:
-            failures.append(f"init: missing {exc}")
-
-    dt = t_end = None
-    sample_times = None
-    if "integration" not in skip:
-        try:
-            icfg = raw["integration"]
-            dt = float(icfg["dt"])
-            t_end = float(icfg["t_end"])
-            if dt <= 0 or t_end <= 0:
-                failures.append("integration: dt and t_end must be positive")
-            else:
-                sample_times = _resolve_sample_times(icfg.get("sample_times"), dt, t_end)
-        except (KeyError, TypeError, ValueError) as exc:
-            failures.append(f"integration: {exc}")
-
-    trials, base_seed = 2, 0
-    if "monte_carlo" not in skip:
-        try:
-            mcfg = raw.get("monte_carlo", {"trials": 2, "base_seed": 0})
-            trials = int(mcfg["trials"])
-            base_seed = int(mcfg["base_seed"])
-            if trials < 1:
-                failures.append("monte_carlo: trials must be >= 1")
-        except KeyError as exc:
-            failures.append(f"monte_carlo: missing {exc}")
-
+    if graph is not None and graph.node_count - 1 > MAX_DIM:
+        failures.append(f"graph: {graph.node_count - 1} followers exceed the supported "
+                        f"maximum {MAX_DIM}")
     if graph is not None and not leaderless and not topology.has_spanning_tree(graph):
         failures.append("graph: no spanning tree (set leaderless: true if intentional)")
 
     if failures:
         raise ValidationError(failures)
 
+    dt, t_end, sample_times = integration
+    trials, base_seed = mc
     raw_json = json.dumps(raw, sort_keys=True)
     fingerprint = hashlib.sha256(raw_json.encode()).hexdigest()[:16]
     init.setflags(write=False)
     sample_times.setflags(write=False)
     scen = SimScenario(
-        graph=graph, lap=lap, plant=plant, profile=profile, noise=noise,
-        init_states=init, dt=dt, t_end=t_end, sample_times=sample_times,
+        graph=graph, lap=topology.laplacian_partition(graph), plant=plant, profile=profile,
+        noise=noise, init_states=init, dt=dt, t_end=t_end, sample_times=sample_times,
         trials=trials, base_seed=base_seed, leaderless=leaderless,
         fingerprint=fingerprint, raw_json=raw_json,
     )
@@ -293,11 +293,11 @@ def load_scenario(path) -> SimScenario:
     return scenario_from_dict(raw)
 
 
-def load_preset(name: str) -> SimScenario:
-    """Bundled scenario presets: 'fig1' (leader-following) or 'fig2' (leaderless)."""
-    ref = resources.files("leadfollow").joinpath(f"presets/{name}.json")
-    return scenario_from_dict(json.loads(ref.read_text()))
-
-
 def preset_path(name: str):
+    """Path of a bundled preset: 'fig1' (leader-following) or 'fig2' (leaderless)."""
     return resources.files("leadfollow").joinpath(f"presets/{name}.json")
+
+
+def load_preset(name: str) -> SimScenario:
+    """Load and validate a bundled preset (see ``preset_path``)."""
+    return scenario_from_dict(json.loads(preset_path(name).read_text()))

@@ -66,14 +66,6 @@ class NoiseModel:
             raise ValueError("one intensity row required per edge")
 
 
-def uniform_noise(graph, n: int, rho: float) -> NoiseModel:
-    """Same scalar intensity on every component of every existing edge."""
-    edges = tuple(graph.edges())
-    arr = np.full((len(edges), n), float(rho))
-    arr.setflags(write=False)
-    return NoiseModel(edges=edges, rho=arr)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled path of one simulation run with its reproduction fingerprint."""
@@ -136,8 +128,7 @@ class _ClosedLoop:
     """Precomputed constant matrices for one scenario."""
 
     def __init__(self, scen):
-        plant = scen.plant
-        self.n = plant.n
+        self.n = scen.plant.n
         self.dt = scen.dt
         self.steps = scen.steps
         self.sim_nodes = scen.sim_nodes
@@ -147,17 +138,6 @@ class _ClosedLoop:
 
         # Per-step gains of the simulated agents, steps+1 rows.
         self.gains = scen.profile.gain_all(np.arange(self.steps + 1) * self.dt)
-
-        if scen.leaderless:
-            self.x0_path = None
-            self.forcing = None
-        else:
-            lead = scen.graph.leader_index
-            self.x0_path = leader_closed_loop(plant, scen.init_states[lead], scen.t_end, self.dt)
-            w0 = self.x0_path @ plant.K2[0]
-            # Drift term -a_i(t) L1_i K2 x0(t) entering each follower's last component.
-            self.forcing = -(self.gains * scen.lap.L1.T) * w0[:, None]
-
         self.X0 = scen.init_states[self.sim_nodes].reshape(-1)
 
     def transitions(self, a_b: np.ndarray) -> np.ndarray:
@@ -220,18 +200,24 @@ def _run_full(scen, seed: int, trials: int) -> np.ndarray:
     idx, wanted = scen.sample_grid()
     out = np.empty((trials, idx.size, scen.graph.node_count, n))
     lead = scen.graph.leader_index
+    x0_path = forcing = None
+    if not scen.leaderless:
+        x0_path = leader_closed_loop(scen.plant, scen.init_states[lead], scen.t_end, dt)
+        w0 = x0_path @ scen.plant.K2[0]
+        # Drift term -a_i(t) L1_i K2 x0(t) entering each follower's last component.
+        forcing = -(cl.gains * scen.lap.L1.T) * w0[:, None]
 
     def block(k0, k1):
         a_b = cl.gains[k0:k1]
         v = noise.block(a_b)
-        if cl.forcing is not None:
-            v += dt * cl.forcing[k0:k1]
+        if forcing is not None:
+            v += dt * forcing[k0:k1]
         return cl.transitions(a_b), v
 
     def store(s_i, k, X):
         out[:, s_i, cl.sim_nodes, :] = X.reshape(trials, M, n)
-        if cl.x0_path is not None:
-            out[:, s_i, lead, :] = cl.x0_path[k]
+        if x0_path is not None:
+            out[:, s_i, lead, :] = x0_path[k]
 
     _euler_maruyama(np.tile(cl.X0, (trials, 1)), block,
                     lambda X: X.reshape(trials, M, n)[:, :, -1],

@@ -91,6 +91,21 @@ def test_invalid_config_rejected(runner, tmp_path):
     assert "validation failed" in res.output
 
 
+def test_malformed_field_listed_without_traceback(runner, tmp_path):
+    """A wrong-typed field outside integration is listed as a validation
+    failure, not raised as a bare exception."""
+    bad = tmp_path / "bad.json"
+    raw = json.loads(preset_path("fig1").read_text())
+    raw["monte_carlo"]["trials"] = "abc"
+    bad.write_text(json.dumps(raw))
+    res = runner.invoke(main, ["verify", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "config validation failed:" in res.output
+    assert "monte_carlo: " in res.output
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("subcommand", ["moments", "reproduce-fig1", "verify"])
 def test_single_trial_rejected(runner, small_config, tmp_path, subcommand):
     """The Monte Carlo subcommands name the minimum trial count instead of

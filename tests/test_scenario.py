@@ -1,9 +1,12 @@
+import copy
 import json
+import random
 
 import numpy as np
 import pytest
 
 import leadfollow as lf
+from leadfollow.matrices import MAX_DIM
 from leadfollow.scenario import (
     ParseError, ValidationError, preset_path, scenario_from_dict,
 )
@@ -89,6 +92,108 @@ def test_non_finite_fields_all_listed(fig1):
         scenario_from_dict(raw)
     assert exc.value.failures == ["gains: non-finite value in gains.beta",
                                   "init: non-finite value in init.states"]
+
+
+def test_null_array_element_is_non_finite(fig1):
+    """numpy reads a null array element as NaN, so the scan reports it like one;
+    a null dict value keeps its meaning (sample_times: null is the default grid)."""
+    raw = json.loads(fig1.raw_json)
+    _set(raw, ("graph", "weights", 1, 2), None)
+    _set(raw, ("init", "states", 2, 0), None)
+    _set(raw, ("integration", "sample_times"), None)
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.failures == ["graph: non-finite value in graph.weights",
+                                  "init: non-finite value in init.states"]
+    raw["graph"] = json.loads(fig1.raw_json)["graph"]
+    raw["init"] = json.loads(fig1.raw_json)["init"]
+    assert scenario_from_dict(raw).sample_times.size == 101
+
+
+@pytest.mark.parametrize("path, value, failure", [
+    (("monte_carlo", "trials"), "abc", "monte_carlo: "),
+    (("monte_carlo", "base_seed"), -1, "monte_carlo: base_seed must lie in [0, 2**64)"),
+    (("monte_carlo", "base_seed"), 2 ** 64, "monte_carlo: base_seed must lie in [0, 2**64)"),
+    (("graph", "leader"), "x", "graph: "),
+    (("graph",), {"leader": 0}, "graph: missing 'weights'"),
+    (("gains", "beta"), "x", "gains: "),
+    (("gains", "agents"), True, "gains: expected per-agent (mu, scale, shift) triples"),
+    (("plant", "alpha"), "x", "plant: "),
+    (("init", "states"), "x", "init: "),
+    (("noise",), [], "noise: "),
+])
+def test_malformed_field_listed(fig1, path, value, failure):
+    """A wrong-typed, missing or out-of-range field is one failure of its own
+    section, not a bare exception."""
+    raw = json.loads(fig1.raw_json)
+    _set(raw, path, value)
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict(raw)
+    assert len(exc.value.failures) == 1
+    assert exc.value.failures[0].startswith(failure)
+
+
+def test_non_object_document_is_parse_error(tmp_path):
+    doc = tmp_path / "list.json"
+    doc.write_text("[1, 2]")
+    with pytest.raises(ParseError, match="JSON object"):
+        lf.load_scenario(str(doc))
+
+
+SECTIONS = ("graph", "plant", "gains", "noise", "init", "integration", "monte_carlo",
+            "leaderless")
+MUTANTS = (None, True, "x", -1, 0, 2, 100, [], {}, [1, 2], [[1]], 0.5)
+
+
+def _value_paths(node, path=()):
+    """Key paths of every dict value and list element, at any depth."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield path + (key,)
+            yield from _value_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig2"])
+def test_single_value_mutations_are_listed(preset):
+    """Any one value of a preset, at any depth, replaced by a small JSON value:
+    the scenario validates, or a ValidationError lists failures that each start
+    with their section, never another exception.  A non-boolean leaderless
+    flag is always one of the failures."""
+    base = json.loads(preset_path(preset).read_text())
+    paths = list(_value_paths(base))
+    rng = random.Random(20261018)
+    mutations = [(rng.choice(paths), rng.choice(MUTANTS)) for _ in range(750)]
+    mutations += [(("leaderless",), value) for value in MUTANTS + ("false",)]
+    for path, value in mutations:
+        raw = copy.deepcopy(base)
+        _set(raw, path, copy.deepcopy(value))
+        try:
+            scenario_from_dict(raw)
+            failures = []
+        except ValidationError as exc:
+            failures = exc.failures
+        except Exception as exc:
+            pytest.fail(f"{path} = {value!r}: {exc!r}")
+        sections = [f.split(":")[0] for f in failures]
+        assert set(sections) <= set(SECTIONS), (path, value, failures)
+        if path == ("leaderless",) and not isinstance(value, bool):
+            assert "leaderless" in sections, (value, failures)
+
+
+def test_too_many_followers_rejected(fig1):
+    """A chain of MAX_DIM + 6 followers fails validation up front, not in the
+    rate checks after the Monte Carlo has run."""
+    nodes = MAX_DIM + 7
+    weights = np.zeros((nodes, nodes))
+    weights[np.arange(1, nodes), np.arange(nodes - 1)] = 1.0
+    raw = json.loads(fig1.raw_json)
+    raw["graph"]["weights"] = weights.tolist()
+    raw["gains"]["agents"] = [[1.0, 1.0, 1.0]] * nodes
+    raw["init"]["states"] = [[0.0, 0.0, 0.0, 0.0]] * nodes
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.failures == [
+        f"graph: {nodes - 1} followers exceed the supported maximum {MAX_DIM}"]
 
 
 def test_missing_spanning_tree_needs_flag(fig1):
@@ -193,6 +298,19 @@ def test_fingerprint_stability(fig1):
     changed = fig1.with_overrides(base_seed=fig1.base_seed + 1)
     assert changed.fingerprint != fig1.fingerprint
     assert changed.base_seed == fig1.base_seed + 1
+
+
+def test_overrides_without_monte_carlo_section(fig1):
+    """monte_carlo may be left out (2 trials, seed 0); overriding the trials
+    or the seed of such a scenario starts from those defaults."""
+    raw = json.loads(fig1.raw_json)
+    del raw["monte_carlo"]
+    scen = scenario_from_dict(raw)
+    assert (scen.trials, scen.base_seed) == (2, 0)
+    more = scen.with_overrides(trials=7)
+    assert (more.trials, more.base_seed) == (7, 0)
+    reseeded = scen.with_overrides(base_seed=5)
+    assert (reseeded.trials, reseeded.base_seed) == (2, 5)
 
 
 def test_preset_paths_exist():
