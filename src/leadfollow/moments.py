@@ -6,15 +6,23 @@ For a linear SDE with additive noise the first two moments obey closed ODEs:
     P' = F(t) P + P F(t)^T + G(t) G(t)^T,
 
 with F(t) = I_N (x) (A + B K1) - Gains(t) L2 (x) B K2 and G(t) the stacked
-noise routing.  Integrating these with classical RK4 (``integrate.rk4_path`` on
-the state concat(m, P.ravel()), the gains precomputed on the half-step grid)
-gives the designated ground truth that every Monte Carlo estimate is checked
+noise routing.  The oracle steps them with the RK4 propagator at the SDE step
+``scen.dt`` (``integrate.rk4_path`` with noise, gains at quarter steps):
+
+    m <- R_k m,    P <- R_k P R_k^T + S_k,
+
+where R_k is the classical RK4 step matrix of F and S_k Simpson's rule for
+the noise G G^T injected over the step, carried to its end by the same RK4
+maps.  The congruence keeps P positive semidefinite by construction, and the
+scheme is fourth order in dt like RK4 on the moment ODEs themselves.  This is
+the designated ground truth that every Monte Carlo estimate is checked
 against: no sampling error, only (checkable) discretization error.
 
 F and the noise routing come from the same assembly the path simulator uses
 (``plant.closed_loop_drift``, ``sde.noise_channels``).  The oracle's
-independence from that assembly lives in the tests, which check it against the
-dense Kronecker form and an adaptive ODE solve of the mean.
+independence from that assembly lives in the tests, which check it against a
+per-stage RK4 of the moment ODEs in the dense Kronecker form, an adaptive ODE
+solve of the mean and its own step-halving error.
 """
 
 from __future__ import annotations
@@ -48,25 +56,20 @@ def evolve_moments(scen, return_cov: bool = False):
     N, n = len(fol), scen.plant.n
     D = N * n
     dt = scen.dt
-    steps = scen.steps
     F = scen.drift()
-    last = F.last
-    q = noise_channels(scen, fol)
-
+    sqrt_q = np.sqrt(noise_channels(scen, fol))
     rec_idx, wanted = scen.sample_grid()
-    gains = scen.profile.gain_all(np.arange(2 * steps + 1) * (0.5 * dt))
 
-    def deriv(a_vec, y):
-        m, P = y[:D], y[D:].reshape(D, D)
-        Fm = F(a_vec)
-        dP = Fm @ P + P @ Fm.T
-        dP[last, last] += a_vec * a_vec * q
-        return np.concatenate([Fm @ m, dP.ravel()])
+    def diffusion(a):
+        # Follower p's noise a_p sqrt(q_p) dB_p enters its last state component.
+        G = np.zeros(a.shape[:-1] + (D, N))
+        G[..., F.last, np.arange(N)] = a * sqrt_q
+        return G
 
     m0 = (scen.init_states[fol] - scen.init_states[scen.graph.leader_index]).reshape(-1)
-    y = rk4_path(deriv, np.concatenate([m0, np.zeros(D * D)]), gains, dt, wanted)
-    mean_err = y[:, :D].reshape(-1, N, n)
-    P = y[:, D:].reshape(-1, D, D)
+    m, P = rk4_path(F, (m0, np.zeros((D, D))),
+                    lambda j: scen.profile.gain_all(j * (0.25 * dt)), dt, wanted, noise=diffusion)
+    mean_err = m.reshape(-1, N, n)
     mse = np.empty((rec_idx.size, N))
     # In step order, so that NonPSDError names the first bad sample in time.
     for s_i in np.argsort(rec_idx):

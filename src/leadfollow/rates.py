@@ -188,8 +188,8 @@ def jordan_transition_ode(lam: complex, gain_fn, r: int, t0: float, grid) -> np.
     dt = np.diff(grid).min()
     steps = int(round((grid[-1] - t0) / dt))
     _, slot = snap_to_grid(grid, dt, steps, t0)
-    gains = np.asarray(gain_fn(t0 + 0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
-    return rk4_path(lambda a, y: -a * (J @ y), np.eye(r, dtype=complex), gains, dt, slot)
+    return rk4_path(lambda a: -a[:, None, None] * J, np.eye(r, dtype=complex),
+                    lambda j: np.asarray(gain_fn(t0 + 0.5 * dt * j), dtype=float), dt, slot)
 
 
 @dataclass(frozen=True)
@@ -259,11 +259,13 @@ def filter_response(b, drive_times, drive_values, init):
     drive[0::2] = z
     drive[1::2] = 0.5 * (z[:-1] + z[1:])
 
-    def f(u, y):
-        dy = comp @ y
-        dy[-1] += u
-        return dy
+    def M(u):
+        # The drive enters the last derivative through the augmented state (xi, 1).
+        A = np.zeros(u.shape + (n + 1, n + 1))
+        A[:, :n, :n] = comp
+        A[:, n - 1, n] = u
+        return A
 
-    states = rk4_path(f, init, drive, dt, np.arange(t.size))
+    states = rk4_path(M, np.append(init, 1.0), drive.__getitem__, dt, np.arange(t.size))[:, :n]
     top = z - states @ b[:n]
     return t, np.column_stack([states, top])

@@ -119,13 +119,20 @@ class SimScenario:
     raw_json: str = field(default="", compare=False)
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer: an int or an integral float, never a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _resolve_sample_times(spec, dt: float, t_end: float) -> np.ndarray:
     if spec is None:
         arr = np.linspace(0.0, t_end, 101)
     elif isinstance(spec, dict):
         kind = spec.get("kind", "linspace")
         start, stop = float(spec["start"]), float(spec["stop"])
-        count = int(spec["count"])
+        count = _integer(spec["count"], "sample_times count")
         if kind == "logspace":
             if min(start, stop) <= 0:
                 raise ParseError("logspace sample_times need start > 0 and stop > 0")
@@ -152,7 +159,7 @@ def _noise_model(cfg, graph: topology.Digraph, n: int) -> sde.NoiseModel:
         rho = np.zeros((len(edges), n))
         index = {e: k for k, e in enumerate(edges)}
         for entry in cfg["edges"]:
-            key = (int(entry["to"]), int(entry["from"]))
+            key = (_integer(entry["to"], "edge 'to'"), _integer(entry["from"], "edge 'from'"))
             if key not in index:
                 raise ValueError(f"entry for nonexistent edge {key}")
             val = np.asarray(entry["rho"], dtype=float)
@@ -190,7 +197,7 @@ def _integration(cfg) -> tuple[float, float, np.ndarray]:
 
 
 def _monte_carlo(cfg) -> tuple[int, int]:
-    trials, base_seed = int(cfg["trials"]), int(cfg["base_seed"])
+    trials, base_seed = _integer(cfg["trials"], "trials"), _integer(cfg["base_seed"], "base_seed")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= base_seed < 2 ** 64:
@@ -246,7 +253,8 @@ def scenario_from_dict(raw: dict) -> SimScenario:
 
     leaderless = section("leaderless", _boolean) if "leaderless" in raw else False
     graph = section("graph", lambda cfg: topology.build_digraph(
-        cfg["weights"], int(cfg.get("leader", 0)), allow_leader_neighbors=leaderless))
+        cfg["weights"], _integer(cfg.get("leader", 0), "leader"),
+        allow_leader_neighbors=leaderless))
     plant = section("plant", lambda cfg: plant_mod.build_plant(cfg["alpha"], cfg["b"]))
     profile = section("gains", lambda cfg: _gain_profile(cfg, graph, leaderless))
     noise = section("noise", lambda cfg: _noise_model(cfg, graph, plant.n), "graph", "plant")

@@ -48,6 +48,58 @@ def dense_drift(plant, L, a):
     )
 
 
+def rk4_reference(f, y0, inputs, dt, slot):
+    """Independent reference for ``integrate.rk4_path``: classical RK4 for
+    y' = f(u, y), calling f once per stage, with ``inputs[2k]``,
+    ``inputs[2k + 1]`` and ``inputs[2k + 2]`` the input at the start, midpoint
+    and end of step k, and the state at grid point k stored as sample
+    ``slot[k]`` unless that is -1."""
+    y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
+    states = np.empty((int(slot.max()) + 1,) + y.shape, dtype=y.dtype)
+    if slot[0] >= 0:
+        states[slot[0]] = y
+    for k in range(slot.size - 1):
+        u0, uh, u1 = inputs[2 * k], inputs[2 * k + 1], inputs[2 * k + 2]
+        k1 = f(u0, y)
+        k2 = f(uh, y + 0.5 * dt * k1)
+        k3 = f(uh, y + 0.5 * dt * k2)
+        k4 = f(u1, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if slot[k + 1] >= 0:
+            states[slot[k + 1]] = y
+    return states
+
+
+def reference_moments(scen):
+    """Independent reference for the moment oracle: ``rk4_reference`` on the
+    moment ODEs m' = F m, P' = F P + P F^T + Ga Ga^T of the state
+    (m, vec P), with F the dense Kronecker drift and Ga the dense noise routing
+    scaled by each receiver's gain.  Returns (mean (S, N, n), mse (S, N))."""
+    fol = scen.graph.follower_indices
+    N, n = len(fol), scen.plant.n
+    D = N * n
+    base = dense_drift(scen.plant, scen.lap.L2, np.zeros(N))
+    coupling = base - dense_drift(scen.plant, scen.lap.L2, np.ones(N))
+    GG = dense_noise_routing(scen, fol)
+    GG = GG @ GG.T
+
+    def deriv(a, y):
+        a_rows = np.repeat(a, n)
+        F = base - a_rows[:, None] * coupling
+        P = y[D:].reshape(D, D)
+        dP = F @ P + P @ F.T + a_rows[:, None] * GG * a_rows
+        return np.concatenate([F @ y[:D], dP.ravel()])
+
+    _, slot = scen.sample_grid()
+    gains = scen.profile.gain_all(np.arange(2 * scen.steps + 1) * (0.5 * scen.dt))
+    m0 = (scen.init_states[fol] - scen.init_states[scen.graph.leader_index]).reshape(-1)
+    y = rk4_reference(deriv, np.concatenate([m0, np.zeros(D * D)]), gains, scen.dt, slot)
+    mean = y[:, :D].reshape(-1, N, n)
+    P = y[:, D:].reshape(-1, D, D)
+    mse = (mean ** 2).sum(axis=2) + np.einsum("sii->si", P).reshape(-1, N, n).sum(axis=2)
+    return mean, mse
+
+
 def dense_noise_routing(scen, nodes):
     """Independent reference for the noise routing: G (len(nodes) n, E n) maps
     the stacked per-edge increments dW_e into the stacked states of ``nodes``;

@@ -9,9 +9,9 @@ from leadfollow.gains import make_profile
 from leadfollow.moments import InsufficientSpanError
 from leadfollow.scenario import scenario_from_dict
 from leadfollow.verify import oracle_deviation_sigmas
-from leadfollow import sde
+from leadfollow import integrate, sde
 
-from conftest import dense_drift
+from conftest import dense_drift, reference_moments
 
 
 def test_zero_noise_covariance_and_mean(fig1):
@@ -39,6 +39,46 @@ def test_zero_initial_error_mean_stays_zero(fig1):
     series = lf.evolve_moments(scen)
     assert np.abs(series.mean_err).max() == 0.0
     assert series.mse[1:].min() > 0.0  # noise still feeds the second moment
+
+
+def test_oracle_matches_reference_rk4(fig1):
+    """The propagator form m <- R m, P <- R P R^T + S agrees with per-stage
+    RK4 on the moment ODEs (dense drift and noise routing) to far below the
+    step's discretization error: both are fourth order at the same step."""
+    scen = fig1.with_overrides(t_end=20.0)
+    assert scen.sample_times.size == 40 and scen.sample_times[0] == 0.5
+    series = lf.evolve_moments(scen)
+    mean, mse = reference_moments(scen)
+    assert (np.abs(series.mse - mse) / mse).max() <= 1e-9
+    assert np.abs(series.mean_err - mean).max() <= 1e-9 * np.abs(mean).max()
+
+
+def test_oracle_invariant_to_block_steps(fig1, monkeypatch):
+    scen = fig1.with_overrides(t_end=3.0, sample_times=np.linspace(0.0, 3.0, 7))
+    series, cov = lf.evolve_moments(scen, return_cov=True)
+    assert integrate.BLOCK_STEPS == 256
+    monkeypatch.setattr(integrate, "BLOCK_STEPS", 37)
+    again, cov_again = lf.evolve_moments(scen, return_cov=True)
+    assert np.array_equal(again.mse, series.mse)
+    assert np.array_equal(again.mean_err, series.mean_err)
+    assert np.array_equal(cov_again, cov)
+
+
+def test_oracle_step_halving_error(fig1):
+    """The oracle's own discretization error, measured: against a run at a
+    quarter of the finest step, the mse error shrinks at least 12-fold per
+    halving of dt (fourth order gives 16), and every sampled covariance is
+    positive semidefinite to round-off."""
+    st = np.linspace(0.0, 5.0, 26)
+    runs = [lf.evolve_moments(fig1.with_overrides(t_end=5.0, dt=dt, sample_times=st),
+                              return_cov=True) for dt in (0.04, 0.02, 0.01, 0.0025)]
+    ref = runs[-1][0].mse
+    errors = [np.abs(series.mse - ref).max() / ref.max() for series, _ in runs[:-1]]
+    assert errors[0] / errors[1] >= 12.0
+    assert errors[1] / errors[2] >= 12.0
+    for _, cov in runs:
+        eig = np.linalg.eigvalsh(cov)
+        assert np.all(eig[:, 0] >= -1e-12 * eig[:, -1])
 
 
 def test_monte_carlo_agrees_at_spot_times(fig1, fig1_mc, fig1_oracle):

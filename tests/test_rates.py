@@ -6,7 +6,12 @@ from leadfollow.rates import (
     GridMismatchError, NotHurwitzError, QuadratureUnresolvedError,
     WindowTooNarrowError, jordan_transition, jordan_transition_ode,
 )
+from leadfollow import integrate
+from leadfollow.integrate import snap_to_grid
+from leadfollow.matrices import companion
 from leadfollow.series import MomentSeries
+
+from conftest import rk4_reference
 
 
 def _synthetic_series(times, mse):
@@ -115,6 +120,24 @@ def test_jordan_recursion_vs_ode_battery():
         assert np.abs(tm.values - ode).max() <= 1e-6
 
 
+def test_jordan_ode_matches_reference_rk4(monkeypatch):
+    """The step-matrix RK4 is the per-stage RK4 of Xi' = -a(t) J Xi to
+    round-off, bit for bit the same at any block length."""
+    lam, r, t0 = 1.2 + 0.3j, 4, 0.5
+    gain = lambda t: 1.5 * (np.asarray(t) + 0.5) ** -0.3  # noqa: E731
+    grid = np.linspace(t0, 10.0, 8001)
+    ode = jordan_transition_ode(lam, gain, r, t0, grid)
+    J = np.eye(r, dtype=complex) * lam + np.eye(r, k=1)
+    dt = np.diff(grid).min()
+    steps = int(round((grid[-1] - t0) / dt))
+    _, slot = snap_to_grid(grid, dt, steps, t0)
+    gains = gain(t0 + 0.5 * dt * np.arange(2 * steps + 1))
+    ref = rk4_reference(lambda a, y: -a * (J @ y), np.eye(r, dtype=complex), gains, dt, slot)
+    assert np.abs(ode - ref).max() <= 1e-12
+    monkeypatch.setattr(integrate, "BLOCK_STEPS", 100)
+    assert np.array_equal(jordan_transition_ode(lam, gain, r, t0, grid), ode)
+
+
 def test_batched_transition_matches_per_point_definition():
     gain = lambda t: 1.5 * (np.asarray(t) + 0.5) ** -0.3  # noqa: E731
     grid = np.linspace(0.5, 10.0, 8001)
@@ -192,6 +215,25 @@ def test_filter_power_tail(fig1):
     head = witness[(t >= 5.0) & (t <= 10.0)].max()
     tail = witness[(t >= 50.0) & (t <= 100.0)].max()
     assert tail <= 1.05 * head
+
+
+def test_filter_matches_reference_rk4(fig1, monkeypatch):
+    """The augmented step matrices carry the drive exactly as the per-stage
+    RK4 of xi' = C xi + e_n z does, bit for bit the same at any block length."""
+    b = fig1.plant.K2[0]
+    t = np.arange(0.0, 20.0 + 1e-9, 0.005)
+    drive = 2.0 + np.exp(-t ** 0.4)
+    init = [0.5, -0.5, 1.0]
+    _, states = lf.filter_response(b, t, drive, init)
+    comp = companion(b)
+    stages = np.empty(2 * t.size - 1)
+    stages[0::2] = drive
+    stages[1::2] = 0.5 * (drive[:-1] + drive[1:])
+    ref = rk4_reference(lambda u, y: comp @ y + [0.0, 0.0, u], init, stages, 0.005,
+                        np.arange(t.size))
+    assert np.abs(states[:, :3] - ref).max() <= 1e-12 * np.abs(ref).max()
+    monkeypatch.setattr(integrate, "BLOCK_STEPS", 100)
+    assert np.array_equal(lf.filter_response(b, t, drive, init)[1], states)
 
 
 def test_filter_rejections():

@@ -121,6 +121,22 @@ def test_null_array_element_is_non_finite(fig1):
     (("plant", "alpha"), "x", "plant: "),
     (("init", "states"), "x", "init: "),
     (("noise",), [], "noise: "),
+    (("monte_carlo", "trials"), 2.9, "monte_carlo: trials must be an integer, got 2.9"),
+    (("monte_carlo", "trials"), True, "monte_carlo: trials must be an integer, got True"),
+    (("monte_carlo", "base_seed"), 7.5, "monte_carlo: base_seed must be an integer, got 7.5"),
+    (("monte_carlo", "base_seed"), False,
+     "monte_carlo: base_seed must be an integer, got False"),
+    (("graph", "leader"), 0.7, "graph: leader must be an integer, got 0.7"),
+    (("graph", "leader"), False, "graph: leader must be an integer, got False"),
+    (("noise",), {"edges": [{"to": 1.6, "from": 0, "rho": 1.0}]},
+     "noise: edge 'to' must be an integer, got 1.6"),
+    (("noise",), {"edges": [{"to": 1, "from": 0.2, "rho": 1.0}]},
+     "noise: edge 'from' must be an integer, got 0.2"),
+    (("noise",), {"edges": [{"to": True, "from": 0, "rho": 1.0}]},
+     "noise: edge 'to' must be an integer, got True"),
+    (("integration", "sample_times"), {"kind": "linspace", "start": 0.0, "stop": 100.0,
+                                       "count": 40.5},
+     "integration: sample_times count must be an integer, got 40.5"),
 ])
 def test_malformed_field_listed(fig1, path, value, failure):
     """A wrong-typed, missing or out-of-range field is one failure of its own
@@ -131,6 +147,17 @@ def test_malformed_field_listed(fig1, path, value, failure):
         scenario_from_dict(raw)
     assert len(exc.value.failures) == 1
     assert exc.value.failures[0].startswith(failure)
+
+
+def test_integral_floats_accepted(fig1):
+    """A JSON float with no fractional part is the integer it spells."""
+    raw = json.loads(fig1.raw_json)
+    raw["monte_carlo"] = {"trials": 7.0, "base_seed": 3.0}
+    raw["graph"]["leader"] = 0.0
+    raw["noise"] = {"edges": [{"to": 1.0, "from": 0.0, "rho": 1.0}]}
+    scen = scenario_from_dict(raw)
+    assert (scen.trials, scen.base_seed, scen.graph.leader_index) == (7, 3, 0)
+    assert scen.noise.rho[scen.noise.edges.index((1, 0))].tolist() == [1.0] * 4
 
 
 def test_non_object_document_is_parse_error(tmp_path):
