@@ -5,6 +5,11 @@ the envelope integral diverges because beta < 1, every gain is sandwiched
 between multiples of t^(-beta) for large t, and any two members are
 infinitesimal of the same order with ratio limits k_i / k_j where
 k_i = mu_i c_i^(-beta).
+
+The envelope integral u(t) = int_{t0}^t max_i a_i is exact.  Two gains are
+equal where s_i x + d_i = rho (s_j x + d_j), rho = (mu_i / mu_j)^(1/beta): a
+linear equation in x, so they cross at most once.  Between crossings the
+envelope is one gain, with the primitive mu (s x + d)^(1-beta) / (s (1-beta)).
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .matrices import eigenvalues
 
@@ -61,20 +65,32 @@ class GainProfile:
         """Pointwise maximum gain over the covered agents."""
         return np.max(self.gain_all(t), axis=-1)
 
-    def envelope_integral(self, t0: float, t1: float) -> float:
-        """Adaptive quadrature of the envelope, split over decades for long spans."""
-        if t1 <= t0:
-            return 0.0
-        cuts = [t0]
-        while cuts[-1] > 0 and cuts[-1] * 10.0 < t1:
-            cuts.append(cuts[-1] * 10.0)
-        cuts.append(t1)
-        total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b > a:
-                val, _ = quad(lambda s: float(self.envelope(s)), a, b, limit=200)
-                total += val
-        return total
+    def envelope_integral(self, t0: float, t) -> np.ndarray:
+        """Exact int_{t0}^{t} of the envelope, elementwise over ``t`` >= t0."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < t0):
+            raise ValueError("the envelope integral needs t >= t0")
+        mu, s, d = self.mu, self.scale, self.shift
+        # rho over- or underflows only for crossings at x < 0; those, parallel
+        # and identical gains give inf or nan and are dropped.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rho = (mu[:, None] / mu[None, :]) ** (1.0 / self.beta)
+            cross = (rho * d[None, :] - d[:, None]) / (s[:, None] - rho * s[None, :])
+        starts = np.append(t0, np.unique(cross[np.isfinite(cross) & (cross > t0)]))
+        # One point inside each piece names the gain that is the envelope there.
+        inside = np.append(0.5 * (starts[:-1] + starts[1:]), starts[-1] + 1.0 + abs(starts[-1]))
+        agent = np.argmax(self.gain_all(inside), axis=-1)
+
+        def piece(k, x):
+            """int of agent[k]'s gain from starts[k] to x, free of cancellation."""
+            i, b = agent[k], starts[k]
+            z = s[i] * b + d[i]
+            g = 1.0 - self.beta
+            return mu[i] * z ** g / (s[i] * g) * np.expm1(g * np.log1p(s[i] * (x - b) / z))
+
+        at_starts = np.append(0.0, np.cumsum(piece(np.arange(starts.size - 1), starts[1:])))
+        k = np.searchsorted(starts, t, side="right") - 1
+        return at_starts[k] + piece(k, t)
 
 
 def make_profile(params, beta: float, agent_ids=None) -> GainProfile:
@@ -136,7 +152,4 @@ def decay_dominance_log_ratios(profile: GainProfile, b: float, ts) -> np.ndarray
     raw ratio underflows quickly.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    out = np.empty(ts.size)
-    for idx, t in enumerate(ts):
-        out[idx] = -b * profile.envelope_integral(1.0, float(t)) + profile.beta * np.log(t)
-    return out
+    return -b * profile.envelope_integral(1.0, ts) + profile.beta * np.log(ts)

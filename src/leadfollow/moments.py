@@ -58,7 +58,7 @@ def evolve_moments(scen, return_cov: bool = False):
     dt = scen.dt
     F = scen.drift()
     sqrt_q = np.sqrt(noise_channels(scen, fol))
-    rec_idx, wanted = scen.sample_grid()
+    _, wanted = scen.sample_grid()
 
     def diffusion(a):
         # Follower p's noise a_p sqrt(q_p) dB_p enters its last state component.
@@ -70,9 +70,9 @@ def evolve_moments(scen, return_cov: bool = False):
     m, P = rk4_path(F, (m0, np.zeros((D, D))),
                     lambda j: scen.profile.gain_all(j * (0.25 * dt)), dt, wanted, noise=diffusion)
     mean_err = m.reshape(-1, N, n)
-    mse = np.empty((rec_idx.size, N))
-    # In step order, so that NonPSDError names the first bad sample in time.
-    for s_i in np.argsort(rec_idx):
+    mse = np.empty((scen.sample_times.size, N))
+    # The sample times increase, so NonPSDError names the first bad sample in time.
+    for s_i in range(scen.sample_times.size):
         Ps = P[s_i]
         mse[s_i] = [float(e @ e) + np.trace(Ps[p * n:(p + 1) * n, p * n:(p + 1) * n])
                     for p, e in enumerate(mean_err[s_i])]
@@ -81,7 +81,7 @@ def evolve_moments(scen, return_cov: bool = False):
             raise NonPSDError(f"covariance eigenvalue {lam_min:.3e} at sample {s_i}")
 
     series = MomentSeries(
-        times=rec_idx * dt, follower_ids=tuple(fol), mean_err=mean_err, mse=mse,
+        times=scen.sample_times, follower_ids=tuple(fol), mean_err=mean_err, mse=mse,
         halfwidth=None, provenance="oracle",
     )
     return (series, P) if return_cov else series

@@ -1,5 +1,10 @@
 """Monte Carlo aggregation, power-law fits, envelope tests, transition-matrix checks.
 
+The transition matrices of x' = -a(t) J x for a Jordan block J(lam) are exact:
+all the -a(t) J commute, so the matrix from t0 to t is expm(-u J) with
+u = int_{t0}^t a, upper triangular Toeplitz with i-th superdiagonal
+exp(-lam u) (-u)^i / i!.
+
 The Monte Carlo estimator runs all trials through the batched path engine, each
 trial on its own counter-based noise stream keyed on (base seed, trial), and
 aggregates moments in fixed trial order, so results are bit-reproducible and
@@ -20,10 +25,6 @@ from .series import MomentSeries
 
 
 class WindowTooNarrowError(ValueError):
-    pass
-
-
-class QuadratureUnresolvedError(RuntimeError):
     pass
 
 
@@ -52,7 +53,7 @@ def monte_carlo_moments(scen) -> MomentSeries:
     mse = sq.mean(axis=0)
     hw = 1.96 * sq.std(axis=0, ddof=1) / np.sqrt(trials)
     return MomentSeries(
-        times=scen.sample_grid()[0] * scen.dt, follower_ids=tuple(fol), mean_err=mean_err,
+        times=scen.sample_times, follower_ids=tuple(fol), mean_err=mean_err,
         mse=mse, halfwidth=hw, provenance="monte_carlo",
     )
 
@@ -99,32 +100,31 @@ def envelope_check(series: MomentSeries, C: float, beta: float, t_min: float) ->
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Jordan-block transition matrix on a grid, upper triangular Toeplitz."""
+    """Jordan-block transition matrices expm(-u J(lam)) at the gain integrals u."""
 
     lam: complex
-    gain_integral: np.ndarray   # (S,): int_{t0}^{t} a over the grid from t0
-    band: np.ndarray            # (S, r): P_0 .. P_{r-1}
-    scaled_band: np.ndarray     # (S, r): P_i * exp(+lam * int a), always O(poly)
+    r: int
+    gain_integral: np.ndarray   # (S,): u = int_{t0}^{t} a at each time t
+
+    def _scaled_band(self) -> np.ndarray:
+        """(S, r): (-u)^i / i!, the band with the diagonal decay exp(-lam u) factored out."""
+        i = np.arange(self.r)
+        return (-self.gain_integral[:, None]) ** i / np.cumprod(np.maximum(i, 1))
 
     @property
     def values(self) -> np.ndarray:
-        """(S, r, r) complex transition matrices, built from ``band`` on demand."""
-        return _toeplitz_upper(self.band)
+        """(S, r, r) complex transition matrices."""
+        decay = np.exp(-self.lam * self.gain_integral)[:, None]
+        return _toeplitz_upper(self._scaled_band() * decay)
 
     def log_norms(self) -> np.ndarray:
-        """log of the spectral norm at every grid point, computed stably.
+        """log of the spectral norm at every time, computed stably.
 
-        Factoring out the diagonal decay exp(-lam * int a) keeps the residual
+        Factoring out the diagonal decay exp(-lam u) keeps the residual
         Toeplitz factor well scaled even when the raw entries underflow.
         """
-        norms = np.linalg.norm(_toeplitz_upper(self.scaled_band), 2, axis=(-2, -1))
+        norms = np.linalg.norm(_toeplitz_upper(self._scaled_band()), 2, axis=(-2, -1))
         return -self.lam.real * self.gain_integral + np.log(norms)
-
-
-def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(x.size, dtype=y.dtype)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
-    return out
 
 
 def _toeplitz_upper(band: np.ndarray) -> np.ndarray:
@@ -137,48 +137,13 @@ def _toeplitz_upper(band: np.ndarray) -> np.ndarray:
     return m
 
 
-def _transition_band(lam: complex, a_vals: np.ndarray, grid: np.ndarray, r: int):
-    """P_0..P_{r-1} on the grid via the integral recursion in scaled form.
-
-    With u(t) = int a and Q_i = P_i exp(+lam u), the recursion collapses to
-    Q_i(t) = -int_{t0}^t a Q_{i-1}, evaluated by composite trapezoid.
-    """
-    u = _cumtrapz(a_vals, grid)
-    Q = np.empty((grid.size, r), dtype=complex)
-    Q[:, 0] = 1.0
-    for i in range(1, r):
-        Q[:, i] = -_cumtrapz(a_vals * Q[:, i - 1], grid)
-    band = Q * np.exp(-lam * u)[:, None]
-    return u, Q, band
-
-
-def jordan_transition(lam: complex, gain_fn, r: int, t0: float, grid,
-                      quad_tol: float = 1e-6) -> TransitionMatrix:
-    """Transition matrix of x' = -a(t) J x for an r-sized Jordan block J(lam).
-
-    ``gain_fn`` maps a time array to gain values.  The off-diagonal band comes
-    from trapezoid quadrature of the recursion on the supplied grid; a
-    Richardson comparison against the half-resolution grid guards resolution.
-    """
+def jordan_transition(lam: complex, r: int, gain_integral) -> TransitionMatrix:
+    """Transition matrices of x' = -a(t) J x for an r-sized Jordan block J(lam),
+    in closed form from the gain integrals u = int_{t0}^t a."""
     if r < 1:
         raise ValueError("block size must be >= 1")
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] != t0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must increase starting exactly at t0")
-    lam = complex(lam)
-    a_vals = np.asarray(gain_fn(grid), dtype=float)
-    u, Q, band = _transition_band(lam, a_vals, grid, r)
-    if grid.size >= 5:
-        coarse = slice(None, None, 2)
-        _, Qc, _ = _transition_band(lam, a_vals[coarse], grid[coarse], r)
-        # Trapezoid converges at order 2: the grid-vs-half-grid gap over 3
-        # estimates the fine-grid error.
-        est = np.abs(Q[coarse] - Qc).max() / 3.0
-        if est > quad_tol:
-            raise QuadratureUnresolvedError(
-                f"estimated quadrature error {est:.2e} exceeds {quad_tol:.1e}"
-            )
-    return TransitionMatrix(lam=lam, gain_integral=u, band=band, scaled_band=Q)
+    return TransitionMatrix(lam=complex(lam), r=int(r),
+                            gain_integral=np.asarray(gain_integral, dtype=float))
 
 
 def jordan_transition_ode(lam: complex, gain_fn, r: int, t0: float, grid) -> np.ndarray:
@@ -211,6 +176,7 @@ def transition_bound_check(blocks, profile, eps: float, grid) -> tuple[BoundEntr
     All arithmetic stays in log space: the raw ratios under/overflow quickly.
     """
     grid = np.asarray(grid, dtype=float)
+    u = profile.envelope_integral(grid[0], grid)
     entries = []
     for lam, r in blocks:
         lam = complex(lam)
@@ -218,8 +184,7 @@ def transition_bound_check(blocks, profile, eps: float, grid) -> tuple[BoundEntr
             raise ValueError(f"lambda must have positive real part, got {lam}")
         if not (0.0 < eps < lam.real):
             raise ValueError(f"eps must lie in (0, {lam.real}), got {eps}")
-        tm = jordan_transition(lam, profile.envelope, r, float(grid[0]), grid, quad_tol=1e-4)
-        log_ratio = tm.log_norms() + (lam.real - eps) * tm.gain_integral
+        log_ratio = jordan_transition(lam, r, u).log_norms() + (lam.real - eps) * u
         head = grid <= grid[0] * 10.0
         tail = grid >= grid[-1] / 10.0
         head_max = float(log_ratio[head].max())

@@ -20,7 +20,7 @@ times that share a step are merged.  The gains list covers every node
 including the leader.  A leaderless profile covers every node; in a
 leader-following scenario the leader's triple is ignored, since the autonomous
 leader has no gain.  ``leaderless`` must be a JSON boolean and
-``monte_carlo`` may be left out (2 trials, seed 0).
+``monte_carlo`` may be left out (2 trials, seed 0); at most MAX_TRIALS trials.
 Validation is aggregated: every failure is reported, not just the first, and
 each starts with the name of its section.
 
@@ -42,6 +42,10 @@ from . import plant as plant_mod
 from . import sde, topology
 from .integrate import snap_to_grid
 from .matrices import MAX_DIM
+
+
+# Every trial has its own noise generator, built before the first step.
+MAX_TRIALS = 10 ** 6
 
 
 class ParseError(ValueError):
@@ -198,8 +202,8 @@ def _integration(cfg) -> tuple[float, float, np.ndarray]:
 
 def _monte_carlo(cfg) -> tuple[int, int]:
     trials, base_seed = _integer(cfg["trials"], "trials"), _integer(cfg["base_seed"], "base_seed")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {cfg['trials']!r}")
     if not 0 <= base_seed < 2 ** 64:
         raise ValueError(f"base_seed must lie in [0, 2**64), got {base_seed}")
     return trials, base_seed

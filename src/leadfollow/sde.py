@@ -68,14 +68,10 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled path of one simulation run with its reproduction fingerprint."""
+    """Sampled path of one simulation run."""
 
-    times: np.ndarray    # (S,), uniform subgrid of the integration grid
+    times: np.ndarray    # (S,), the scenario's sample times
     states: np.ndarray   # full: (S, N+1, n); reduced: (S, N)
-    dt: float
-    seed: int
-    scenario_hash: str
-    kind: str            # "full" | "reduced"
 
 
 def _trial_streams(seed: int, trials: int) -> list[np.random.Generator]:
@@ -254,18 +250,12 @@ def _run_reduced(scen, seed: int, trials: int) -> np.ndarray:
 
 def simulate_full(scen, seed: int) -> Trajectory:
     """One full-system path, sampled at the scenario's sample times."""
-    return Trajectory(
-        times=scen.sample_grid()[0] * scen.dt, states=_run_full(scen, seed, 1)[0],
-        dt=scen.dt, seed=seed, scenario_hash=scen.fingerprint, kind="full",
-    )
+    return Trajectory(times=scen.sample_times, states=_run_full(scen, seed, 1)[0])
 
 
 def simulate_reduced(scen, seed: int) -> Trajectory:
     """One path of the reduced error dynamics, noise-consistent with simulate_full."""
-    return Trajectory(
-        times=scen.sample_grid()[0] * scen.dt, states=_run_reduced(scen, seed, 1)[0],
-        dt=scen.dt, seed=seed, scenario_hash=scen.fingerprint, kind="reduced",
-    )
+    return Trajectory(times=scen.sample_times, states=_run_reduced(scen, seed, 1)[0])
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sde, topology
-from .gains import decay_dominance_log_ratios, rate_constants
+from .gains import decay_dominance_log_ratios, make_profile, rate_constants
 from .matrices import eigenvalues
 from .moments import evolve_moments
 from .plant import build_plant
@@ -152,21 +152,18 @@ def check_oracle_slope(scen, oracle) -> CheckResult:
 
 
 def check_jordan_recursion() -> CheckResult:
-    """Integral recursion vs direct ODE integration over random triples."""
+    """Closed-form expm(-u J), u the exact gain integral of a one-agent profile,
+    vs RK4 integration of Xi' = -a(t) J Xi on its gain, over random triples."""
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(JORDAN_TRIPLES):
         lam = complex(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
         r = int(rng.integers(1, 5))
         mu, c, d = rng.uniform(0.3, 2.0), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
-        beta = rng.uniform(0.2, 0.8)
-
-        def gain(t, mu=mu, c=c, d=d, beta=beta):
-            return mu * (c * np.asarray(t) + d) ** (-beta)
-
+        profile = make_profile([[mu, c, d]], rng.uniform(0.2, 0.8))
         grid = np.linspace(0.5, 10.0, 8001)
-        tm = jordan_transition(lam, gain, r, 0.5, grid)
-        ode = jordan_transition_ode(lam, gain, r, 0.5, grid)
+        tm = jordan_transition(lam, r, profile.envelope_integral(0.5, grid))
+        ode = jordan_transition_ode(lam, profile.envelope, r, 0.5, grid)
         worst = max(worst, float(np.abs(tm.values - ode).max()))
     return _check("jordan_recursion_vs_ode", worst, 1e-6, "<=")
 

@@ -126,7 +126,7 @@ def test_criterion_06_controller_identities():
 
 def test_criterion_07_transition_recursion():
     res = verify.check_jordan_recursion()
-    _report(7, "transition recursion vs ODE oracle", res.passed,
+    _report(7, "closed-form Jordan transitions vs ODE oracle", res.passed,
             f"max entry error={res.value:.3e} tol={res.threshold:.0e}")
     assert res.passed
 

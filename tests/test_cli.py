@@ -106,6 +106,19 @@ def test_malformed_field_listed_without_traceback(runner, tmp_path):
     assert "Traceback" not in res.output
 
 
+def test_huge_trial_count_rejected(runner, small_config, tmp_path):
+    """A trial count above the scenario bound fails validation before any
+    noise generator is built or any file is written."""
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["moments", "--config", small_config,
+                               "--trials", "1000000000000", "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "config validation failed:" in res.output
+    assert "monte_carlo: trials must lie in [1, 1000000]" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["moments", "reproduce-fig1", "verify"])
 def test_single_trial_rejected(runner, small_config, tmp_path, subcommand):
     """The Monte Carlo subcommands name the minimum trial count instead of

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from leadfollow.gains import (
     BadExponentError, GainError, NonPositiveParamError, NonPositiveSpectrumError,
@@ -105,3 +107,52 @@ def test_decay_dominance(follower_profile):
     ratios = decay_dominance_log_ratios(follower_profile, 1.0, [1e2, 1e3, 1e4])
     assert np.all(np.diff(ratios) < 0)
     assert ratios[-1] < np.log(1e-2)
+
+
+def _quad_envelope_integral(p, t0, t):
+    """Reference for int_{t0}^t envelope: adaptive quadrature between the
+    pairwise gain crossings, each found by brentq on a dense bracket, and
+    between decades."""
+    xs = np.unique(np.concatenate([np.linspace(t0, t, 4001),
+                                   np.geomspace(max(t0, 1e-4), t, 4001)]))
+    g = p.gain_all(xs)
+    decades = 10.0 ** np.arange(-4, 4)
+    cuts = [t0, t, *decades[(decades > t0) & (decades < t)]]
+    for i in range(g.shape[1]):
+        for j in range(i):
+            diff = np.sign(g[:, i] - g[:, j])
+            for k in np.flatnonzero(diff[1:] * diff[:-1] < 0):
+                cuts.append(brentq(lambda x: p.gain_all(x)[i] - p.gain_all(x)[j],
+                                   xs[k], xs[k + 1], xtol=1e-15, rtol=1e-15))
+    cuts = np.unique(cuts)
+    return sum(quad(p.envelope, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.0])
+@pytest.mark.parametrize("beta", [0.01, 0.99, None])
+def test_envelope_integral_matches_quadrature(beta, t0):
+    """The closed-form envelope integral agrees with split quadrature to 1e-10
+    relative on random profiles of up to 8 agents."""
+    rng = np.random.default_rng(int(100 * (beta or 0.5) + t0))
+    for _ in range(4):
+        n = int(rng.integers(1, 9))
+        params = np.column_stack([rng.uniform(0.3, 3.0, n), rng.uniform(0.2, 5.0, n),
+                                  rng.uniform(0.05, 3.0, n)])
+        p = make_profile(params, rng.uniform(0.05, 0.95) if beta is None else beta)
+        ts = t0 + np.array([1e-3, 0.37, 2.0, 15.0, 120.0, 1000.0])
+        exact = p.envelope_integral(t0, ts)
+        ref = np.array([_quad_envelope_integral(p, t0, t) for t in ts])
+        assert np.all(np.abs(exact - ref) <= 1e-10 * ref)
+        assert p.envelope_integral(t0, t0) == 0.0
+
+
+def test_envelope_integral_extreme_ratios():
+    """Gain ratios whose 1/beta-th power overflows raise no warning and leave
+    the dominant gain as the envelope, whose integral is exact."""
+    p = make_profile([(100.0, 1.0, 1.0), (0.01, 2.0, 1.0)], 0.001)
+    ts = np.array([0.5, 10.0, 1e4])
+    exact = 100.0 * ((ts + 1.0) ** 0.999 - 1.0) / 0.999
+    assert np.allclose(p.envelope_integral(0.0, ts), exact, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        p.envelope_integral(1.0, [0.5, 2.0])

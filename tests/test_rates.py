@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import leadfollow as lf
+from leadfollow.gains import make_profile
 from leadfollow.rates import (
-    GridMismatchError, NotHurwitzError, QuadratureUnresolvedError,
-    WindowTooNarrowError, jordan_transition, jordan_transition_ode,
+    GridMismatchError, NotHurwitzError, WindowTooNarrowError, jordan_transition,
+    jordan_transition_ode,
 )
 from leadfollow import integrate
 from leadfollow.integrate import snap_to_grid
@@ -84,23 +86,31 @@ def test_envelope_check_antitone(fig1_oracle):
         assert np.all(hi <= lo)
 
 
-def _const_gain(t):
-    return np.ones_like(np.asarray(t, dtype=float))
-
-
 def test_jordan_scalar_constant_gain():
     grid = np.linspace(1.0, 6.0, 501)
-    tm = jordan_transition(1.0, _const_gain, 1, 1.0, grid)
+    tm = jordan_transition(1.0, 1, grid - 1.0)
     assert np.allclose(tm.values[:, 0, 0], np.exp(-(grid - 1.0)), atol=1e-12)
 
 
 def test_jordan_block_closed_form():
     # r = 2, lambda = 1, a = 1 from t0 = 0: off-diagonal entry is -t e^{-t}
     grid = np.linspace(0.0, 5.0, 2001)
-    tm = jordan_transition(1.0, _const_gain, 2, 0.0, grid)
-    assert np.allclose(tm.values[:, 0, 1], -grid * np.exp(-grid), atol=1e-9)
+    tm = jordan_transition(1.0, 2, grid)
+    assert np.allclose(tm.values[:, 0, 1], -grid * np.exp(-grid), atol=1e-15)
     assert np.allclose(tm.values[:, 1, 0], 0.0)
     assert np.allclose(tm.values[:, 0, 0], tm.values[:, 1, 1])
+
+
+@pytest.mark.parametrize("lam, r", [(1.0, 1), (0.7 - 0.4j, 2), (2.5 + 1.0j, 4), (0.3, 6)])
+def test_jordan_values_match_expm(lam, r):
+    """The closed form is expm(-u J(lam)) at every grid point."""
+    profile = make_profile([(1.5, 1.0, 0.5), (0.8, 3.0, 0.2)], 0.6)
+    grid = np.geomspace(0.5, 50.0, 301)
+    u = profile.envelope_integral(0.5, grid)
+    J = np.eye(r) * lam + np.eye(r, k=1)
+    values = jordan_transition(lam, r, u).values
+    ref = np.array([expm(-uk * J) for uk in u])
+    assert np.abs(values - ref).max() <= 1e-12
 
 
 def test_jordan_recursion_vs_ode_battery():
@@ -109,15 +119,11 @@ def test_jordan_recursion_vs_ode_battery():
         lam = complex(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
         r = int(rng.integers(1, 5))
         mu, c, d = rng.uniform(0.3, 2.0), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
-        beta = rng.uniform(0.2, 0.8)
-
-        def gain(t, mu=mu, c=c, d=d, beta=beta):
-            return mu * (c * np.asarray(t) + d) ** (-beta)
-
+        profile = make_profile([[mu, c, d]], rng.uniform(0.2, 0.8))
         grid = np.linspace(0.5, 10.0, 8001)
-        tm = jordan_transition(lam, gain, r, 0.5, grid)
-        ode = jordan_transition_ode(lam, gain, r, 0.5, grid)
-        assert np.abs(tm.values - ode).max() <= 1e-6
+        tm = jordan_transition(lam, r, profile.envelope_integral(0.5, grid))
+        ode = jordan_transition_ode(lam, profile.envelope, r, 0.5, grid)
+        assert np.abs(tm.values - ode).max() <= 1e-10
 
 
 def test_jordan_ode_matches_reference_rk4(monkeypatch):
@@ -139,25 +145,18 @@ def test_jordan_ode_matches_reference_rk4(monkeypatch):
 
 
 def test_batched_transition_matches_per_point_definition():
-    gain = lambda t: 1.5 * (np.asarray(t) + 0.5) ** -0.3  # noqa: E731
     grid = np.linspace(0.5, 10.0, 8001)
-    tm = jordan_transition(1.2 + 0.3j, gain, 3, 0.5, grid)
+    u = make_profile([(1.5, 1.0, 0.5)], 0.3).envelope_integral(0.5, grid)
+    tm = jordan_transition(1.2 + 0.3j, 3, u)
     values = tm.values
     per_point = [np.log(np.linalg.norm(values[s], 2)) for s in range(grid.size)]
     assert np.abs(tm.log_norms() - per_point).max() <= 1e-12
 
-    values = jordan_transition(1.2 + 0.3j, gain, 4, 0.5, grid).values
+    values = jordan_transition(1.2 + 0.3j, 4, u).values
     for i in range(4):
         for j in range(4):
             expected = values[:, 0, j - i] if j >= i else 0.0
             assert np.array_equal(values[:, i, j], np.broadcast_to(expected, grid.shape))
-
-
-def test_jordan_coarse_grid_rejected():
-    grid = np.linspace(0.5, 10.0, 41)
-    with pytest.raises(QuadratureUnresolvedError):
-        jordan_transition(2.0, lambda t: 1.5 * (np.asarray(t) + 0.5) ** -0.3,
-                          3, 0.5, grid)
 
 
 def test_transition_bound_scalar_exact(fig1):
@@ -165,9 +164,9 @@ def test_transition_bound_scalar_exact(fig1):
     strictly decreasing, so the witness passes."""
     grid = np.geomspace(1.0, 100.0, 4001)
     entry, = lf.transition_bound_check([(1.0, 1)], fig1.profile, 0.1, grid)
-    tm = jordan_transition(1.0, fig1.profile.envelope, 1, 1.0, grid)
-    log_ratio = tm.log_norms() + (1.0 - 0.1) * tm.gain_integral
-    assert np.allclose(log_ratio, -0.1 * tm.gain_integral, atol=1e-9)
+    u = fig1.profile.envelope_integral(1.0, grid)
+    log_ratio = jordan_transition(1.0, 1, u).log_norms() + (1.0 - 0.1) * u
+    assert np.allclose(log_ratio, -0.1 * u, atol=1e-12)
     assert entry.no_growth
     assert entry.head_log_max == pytest.approx(0.0, abs=1e-12)
 

@@ -137,6 +137,12 @@ def test_null_array_element_is_non_finite(fig1):
     (("integration", "sample_times"), {"kind": "linspace", "start": 0.0, "stop": 100.0,
                                        "count": 40.5},
      "integration: sample_times count must be an integer, got 40.5"),
+    (("monte_carlo", "trials"), 1e12,
+     "monte_carlo: trials must lie in [1, 1000000], got 1000000000000.0"),
+    (("monte_carlo", "trials"), 1e300,
+     "monte_carlo: trials must lie in [1, 1000000], got 1e+300"),
+    (("monte_carlo", "trials"), 10 ** 6 + 1,
+     "monte_carlo: trials must lie in [1, 1000000], got 1000001"),
 ])
 def test_malformed_field_listed(fig1, path, value, failure):
     """A wrong-typed, missing or out-of-range field is one failure of its own
