@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .matrices import DegenerateRowError, companion, is_hurwitz
 
@@ -153,6 +152,10 @@ def leader_closed_loop(plant: PlantModel, x0_init, t_end: float, dt: float) -> n
     x0 = np.asarray(x0_init, dtype=float)
     if x0.shape != (plant.n,):
         raise DimensionMismatchError(f"initial state must have shape ({plant.n},)")
+    # Imported here: scipy.linalg pulls in numpy.testing and numpy.f2py, which
+    # leaderless runs and scenario loading never need.
+    from scipy.linalg import expm
+
     steps = int(round(t_end / dt))
     prop = expm(m * dt)
     traj = np.empty((steps + 1, plant.n))

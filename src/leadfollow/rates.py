@@ -6,9 +6,12 @@ u = int_{t0}^t a, upper triangular Toeplitz with i-th superdiagonal
 exp(-lam u) (-u)^i / i!.
 
 The Monte Carlo estimator runs all trials through the batched path engine, each
-trial on its own counter-based noise stream keyed on (base seed, trial), and
-aggregates moments in fixed trial order, so results are bit-reproducible and
-independent of any scheduling concerns.
+trial on its own counter-based noise stream keyed on (base seed, trial).  The
+engine splits the trials into contiguous ranges, one per usable CPU, run in
+forked worker processes (see ``sde``); each trial's path is bit-identical
+whatever the split, and the moments are aggregated in the parent in fixed
+trial order, so results are bit-reproducible and independent of the number
+of CPUs.
 """
 
 from __future__ import annotations

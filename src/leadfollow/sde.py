@@ -24,10 +24,23 @@ Each step is X <- S_k X plus the increment (noise and, for followers, the
 leader forcing) on the last components, with S_k = I + dt F(a_k) built for a
 block of steps at once.  Additive noise makes plain Euler-Maruyama strong
 order 1.0; nothing higher is warranted at desk scale.
+
+A batch of trials is split into contiguous trial ranges, one per usable CPU
+(``WORKERS``, from the process's CPU affinity; 1 where the platform has
+none), each at least 2 trials wide.  All but the last range run in children
+made with ``os.fork``, which write their rows straight into an output array
+backed by an anonymous shared mmap; the parent runs the last range itself and
+then reaps every child.  Each range runs the serial code on its own streams
+and a slab of at least 2 rows, where BLAS takes the same matrix-matrix path as
+for the whole batch, so every trial's path is bit-identical to a serial run.
+A run with fewer than 4 trials is one range and never forks.
 """
 
 from __future__ import annotations
 
+import json
+import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +48,9 @@ import numpy as np
 from .plant import leader_closed_loop
 
 BLOCK_STEPS = 512
+
+# Worker processes a batch may use: one per CPU this process may run on.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 class SimulationError(RuntimeError):
@@ -74,11 +90,11 @@ class Trajectory:
     states: np.ndarray   # full: (S, N+1, n); reduced: (S, N)
 
 
-def _trial_streams(seed: int, trials: int) -> list[np.random.Generator]:
+def _trial_streams(seed: int, trials: range) -> list[np.random.Generator]:
     # Philox is counter-based: trial t's stream is a pure function of its key
-    # [seed, t], whatever the trial count or the block size.
+    # [seed, t], whatever the trial count, the block size or the trial range.
     return [np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
-            for t in range(trials)]
+            for t in trials]
 
 
 def noise_channels(scen, nodes) -> np.ndarray:
@@ -102,10 +118,11 @@ def noise_channels(scen, nodes) -> np.ndarray:
 class _Noise:
     """Per-trial streams drawn one block of steps at a time, shared by both engines."""
 
-    def __init__(self, seed: int, trials: int, scale: np.ndarray):
+    def __init__(self, seed: int, trials: int | range, scale: np.ndarray):
+        trials = trials if isinstance(trials, range) else range(trials)
         self.streams = _trial_streams(seed, trials)
         self.scale = scale  # (M,) sqrt(dt q): the increment's standard deviation at gain 1
-        self.buf = np.empty((trials, BLOCK_STEPS, scale.size))
+        self.buf = np.empty((len(trials), BLOCK_STEPS, scale.size))
 
     def block(self, a_b: np.ndarray) -> np.ndarray:
         """Increments (trials, nb, M) of the next nb = len(a_b) steps; trial t
@@ -187,14 +204,120 @@ def _first_nonfinite(X, S, v, tail, k0, dt) -> NonFiniteError:
     return NonFiniteError((k0 + k + 1) * dt, bad)
 
 
+def _ranges(trials: int) -> list[range]:
+    """Contiguous trial ranges, one per worker, each at least 2 trials wide."""
+    workers = max(1, min(WORKERS, trials // 2))
+    return [range(w * trials // workers, (w + 1) * trials // workers) for w in range(workers)]
+
+
+def _run_range(run, part: range, out) -> None:
+    """run(part, rows) on its rows of ``out``; a NonFiniteError names global trials."""
+    try:
+        run(part, out[part.start:part.stop])
+    except NonFiniteError as exc:
+        raise NonFiniteError(exc.t, [part.start + i for i in exc.trials]) from None
+
+
+def _fork(run, part: range, out) -> tuple[int, int]:
+    """Start a worker on the trial range ``part``; returns its pid and its
+    report pipe's read end.  The worker sends nothing on success, [t, trials]
+    on NonFiniteError and the exception's text on any other failure."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid:
+        os.close(wfd)  # the child holds the only write end: its exit gives EOF
+        return pid, rfd
+    status = 1
+    try:
+        try:
+            _run_range(run, part, out)
+            msg = b""
+        except NonFiniteError as exc:
+            msg = json.dumps([exc.t, exc.trials]).encode()
+        except Exception as exc:
+            msg = json.dumps(f"{type(exc).__name__}: {exc}").encode()
+        with os.fdopen(wfd, "wb") as fh:
+            fh.write(msg)
+        status = 0
+    finally:
+        # Never unwind into the parent's stack (under a test runner, the child
+        # would go on running the parent's session).
+        os._exit(status)
+
+
+def _reap(pid: int, rfd: int) -> tuple[bytes, int]:
+    """A child's report, read to EOF, and its wait status."""
+    try:
+        with os.fdopen(rfd, "rb") as fh:
+            msg = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    return msg, status
+
+
+def _failure(part: range, msg: bytes, status: int) -> SimulationError | None:
+    """The error a child's report and wait status stand for, if any.  A
+    report is complete only when the child exited with status 0."""
+    where = f"worker for trials {part.start}-{part.stop - 1}"
+    if os.WIFSIGNALED(status):
+        return SimulationError(f"{where} was killed by signal {os.WTERMSIG(status)}")
+    if status:
+        return SimulationError(f"{where} exited with status {os.waitstatus_to_exitcode(status)}")
+    if not msg:
+        return None
+    report = json.loads(msg)
+    if isinstance(report, list):
+        return NonFiniteError(*report)
+    return SimulationError(f"{where} failed: {report}")
+
+
+def _split(trials: int, shape: tuple, run) -> np.ndarray:
+    """Run trials 0..trials-1 through run(range, rows), which fills ``rows``
+    (len(range), *shape); returns the (trials, *shape) output.
+
+    With more than one range, all but the last run in forked children that
+    write into shared memory, and the parent runs the last.  Every child is
+    reaped, also when the parent's range raised.  A child's failure becomes a
+    SimulationError; NonFiniteErrors merge into the one a serial run raises:
+    the earliest t, with every trial that left the finite range at that t.
+    """
+    ranges = _ranges(trials)
+    if len(ranges) == 1:
+        out = np.empty((trials, *shape))
+        run(ranges[0], out)
+        return out
+    out = np.frombuffer(mmap.mmap(-1, trials * int(np.prod(shape)) * 8)).reshape(trials, *shape)
+    children, own = [], None
+    try:
+        for part in ranges[:-1]:
+            children.append((part, *_fork(run, part, out)))
+        try:
+            _run_range(run, ranges[-1], out)
+        except NonFiniteError as exc:
+            own = exc
+    finally:
+        reports = [(part, *_reap(pid, rfd)) for part, pid, rfd in children]
+    failures = [f for f in [_failure(*r) for r in reports] + [own] if f is not None]
+    for f in failures:
+        if not isinstance(f, NonFiniteError):
+            raise f
+    if failures:
+        t = min(f.t for f in failures)
+        raise NonFiniteError(t, sorted(i for f in failures if f.t == t for i in f.trials))
+    return out
+
+
 def _run_full(scen, seed: int, trials: int) -> np.ndarray:
     """Batched Euler-Maruyama paths at the S sample times; returns
     (trials, S, node_count, n)."""
     cl = _ClosedLoop(scen)
     n, M, dt = cl.n, cl.M, cl.dt
-    noise = _Noise(seed, trials, cl.noise_scale)
     idx, wanted = scen.sample_grid()
-    out = np.empty((trials, idx.size, scen.graph.node_count, n))
     lead = scen.graph.leader_index
     x0_path = forcing = None
     if not scen.leaderless:
@@ -203,22 +326,27 @@ def _run_full(scen, seed: int, trials: int) -> np.ndarray:
         # Drift term -a_i(t) L1_i K2 x0(t) entering each follower's last component.
         forcing = -(cl.gains * scen.lap.L1.T) * w0[:, None]
 
-    def block(k0, k1):
-        a_b = cl.gains[k0:k1]
-        v = noise.block(a_b)
-        if forcing is not None:
-            v += dt * forcing[k0:k1]
-        return cl.transitions(a_b), v
+    def run(part, out):
+        noise = _Noise(seed, part, cl.noise_scale)
+        count = len(part)
 
-    def store(s_i, k, X):
-        out[:, s_i, cl.sim_nodes, :] = X.reshape(trials, M, n)
-        if x0_path is not None:
-            out[:, s_i, lead, :] = x0_path[k]
+        def block(k0, k1):
+            a_b = cl.gains[k0:k1]
+            v = noise.block(a_b)
+            if forcing is not None:
+                v += dt * forcing[k0:k1]
+            return cl.transitions(a_b), v
 
-    _euler_maruyama(np.tile(cl.X0, (trials, 1)), block,
-                    lambda X: X.reshape(trials, M, n)[:, :, -1],
-                    cl.steps, dt, wanted, store)
-    return out
+        def store(s_i, k, X):
+            out[:, s_i, cl.sim_nodes, :] = X.reshape(count, M, n)
+            if x0_path is not None:
+                out[:, s_i, lead, :] = x0_path[k]
+
+        _euler_maruyama(np.tile(cl.X0, (count, 1)), block,
+                        lambda X: X.reshape(count, M, n)[:, :, -1],
+                        cl.steps, dt, wanted, store)
+
+    return _split(trials, (idx.size, scen.graph.node_count, n), run)
 
 
 def _run_reduced(scen, seed: int, trials: int) -> np.ndarray:
@@ -228,24 +356,26 @@ def _run_reduced(scen, seed: int, trials: int) -> np.ndarray:
         raise SimulationError("the reduced error dynamics require a leader")
     cl = _ClosedLoop(scen)
     dt = cl.dt
-    noise = _Noise(seed, trials, cl.noise_scale)
     idx, wanted = scen.sample_grid()
-    out = np.empty((trials, idx.size, cl.M))
 
     K2 = scen.plant.K2[0]
     err0 = scen.init_states[cl.sim_nodes] - scen.init_states[scen.graph.leader_index]
     eye, L2 = np.eye(cl.M), scen.lap.L2
 
-    def block(k0, k1):
-        a_b = cl.gains[k0:k1]
-        return eye - dt * (a_b[:, :, None] * L2), noise.block(a_b)
+    def run(part, out):
+        noise = _Noise(seed, part, cl.noise_scale)
 
-    def store(s_i, k, Xh):
-        out[:, s_i, :] = Xh
+        def block(k0, k1):
+            a_b = cl.gains[k0:k1]
+            return eye - dt * (a_b[:, :, None] * L2), noise.block(a_b)
 
-    _euler_maruyama(np.tile(err0 @ K2, (trials, 1)), block, lambda Xh: Xh,
-                    cl.steps, dt, wanted, store)
-    return out
+        def store(s_i, k, Xh):
+            out[:, s_i, :] = Xh
+
+        _euler_maruyama(np.tile(err0 @ K2, (len(part), 1)), block, lambda Xh: Xh,
+                        cl.steps, dt, wanted, store)
+
+    return _split(trials, (idx.size, cl.M), run)
 
 
 def simulate_full(scen, seed: int) -> Trajectory:

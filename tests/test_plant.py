@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import leadfollow
 from leadfollow.matrices import eigenvalues
 from leadfollow.plant import (
     DimensionMismatchError, NotHurwitzError, build_plant, closed_loop_drift,
@@ -115,3 +121,16 @@ def test_closed_loop_drift_matches_dense_form(fig1, fig2):
             tol = 1e-13 * np.linalg.norm(ref, 2)
             assert np.abs(drift(a[k]) - ref).max() <= tol
             assert np.abs(batch[k] - ref).max() <= tol
+
+
+def test_loading_a_scenario_does_not_import_scipy():
+    """Only the leader's expm needs scipy, and it is imported there: importing
+    leadfollow and loading a scenario stays free of scipy.linalg's imports."""
+    code = ("import sys, leadfollow; "
+            "leadfollow.load_scenario(leadfollow.scenario.preset_path('fig1')); "
+            "print('scipy' in sys.modules)")
+    path = [str(Path(leadfollow.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"

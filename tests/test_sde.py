@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -167,6 +169,78 @@ def test_nonfinite_error_names_first_step(fig1):
         t_before = exc.value.t - scen.dt
         before = scen.with_overrides(t_end=t_before, sample_times=[t_before])
         assert np.isfinite(sde._run_full(before, 1, 3)).all()
+
+
+@pytest.fixture
+def deadline():
+    """Fail instead of hanging if a forked run never returns."""
+    def expire(signum, frame):
+        raise TimeoutError("the forked run did not return within 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nonfinite_error_merged_across_workers(fig1, monkeypatch, deadline, workers):
+    """Each worker names its own first non-finite step; the parent merges them
+    into the error a serial run raises, in global trial indices."""
+    raw = json.loads(fig1.raw_json)
+    raw["init"]["states"][2] = [1e308] * 4
+    raw["integration"]["sample_times"] = [0.0]
+    scen = scenario_from_dict(raw)
+    monkeypatch.setattr(sde, "WORKERS", workers)
+    assert len(sde._ranges(4)) == workers
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(sde.NonFiniteError) as exc:
+            sde._run_full(scen, 1, 4)
+    assert str(exc.value) == "state became non-finite at t = 0.134 in 4 trial(s): 0, 1, 2, 3"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_trials_invariant_to_worker_count(fig1, monkeypatch, deadline, workers):
+    """Every worker runs its trial range on at least 2 rows, so each trial's
+    path is bit-identical whatever the split."""
+    scen = _invariance_scenario(fig1)
+    runs = {}
+    for count in (1, workers):
+        monkeypatch.setattr(sde, "WORKERS", count)
+        runs[count] = [f(scen, 5, trials) for trials in (7, 8)
+                       for f in (sde._run_full, sde._run_reduced)]
+        runs[count].append(lf.monte_carlo_moments(scen.with_overrides(trials=8)))
+    assert [len(sde._ranges(t)) for t in (7, 8)] == [workers] * 2
+    *paths, mc = runs[workers]
+    *serial, mc1 = runs[1]
+    assert all(np.array_equal(a, b) for a, b in zip(paths, serial))
+    for field in ("mean_err", "mse", "halfwidth"):
+        assert np.array_equal(getattr(mc, field), getattr(mc1, field))
+
+
+@pytest.mark.parametrize("how", ["raise", "kill"])
+def test_worker_failure_surfaces_and_is_reaped(fig1, monkeypatch, deadline, how):
+    """A worker that raises, or dies without a word, is a SimulationError in
+    the parent, naming its trial range; no child is left behind."""
+    scen = _invariance_scenario(fig1)
+    parent, block = os.getpid(), sde._Noise.block
+
+    def failing(self, a_b):
+        if os.getpid() != parent:  # the child runs the range starting at trial 0
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("noise source failed")
+        return block(self, a_b)
+
+    monkeypatch.setattr(sde, "WORKERS", 2)
+    monkeypatch.setattr(sde._Noise, "block", failing)
+    reason = {"raise": "failed: RuntimeError: noise source failed",
+              "kill": "was killed by signal 9"}[how]
+    with pytest.raises(sde.SimulationError, match=f"worker for trials 0-1 {reason}") as exc:
+        sde._run_full(scen, 5, 4)
+    assert not isinstance(exc.value, sde.NonFiniteError)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sample_times_sharing_a_step_rejected():
