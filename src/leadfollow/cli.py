@@ -119,6 +119,7 @@ def moments(config, trials, seed, dt, out):
     oracle.to_csv(run_dir / "moments_oracle.csv")
     dev = oracle_deviation_sigmas(mc, oracle)
     click.echo(f"max deviation: {dev:.3f} standard errors")
+    click.echo(f"oracle step error: {oracle.step_error:.2e} (relative mse, Richardson)")
     click.echo(f"series: {run_dir}")
 
 

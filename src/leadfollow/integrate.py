@@ -43,9 +43,9 @@ def snap_to_grid(times, dt: float, steps: int, t0: float = 0.0):
     return idx, slot
 
 
-def _rk4_maps(M0, Mh, M1, h: float) -> np.ndarray:
+def _rk4_maps(M0, Mh, M1, h) -> np.ndarray:
     """RK4 step matrices (nb, d, d) from M stacked at the start, midpoint and
-    end of nb steps of length h."""
+    end of nb steps of length h (a scalar, or one per step as (nb, 1, 1))."""
     eye = np.eye(M0.shape[-1])
     K = M0
     acc = M0.copy()
@@ -62,21 +62,22 @@ def _blocks(steps: int):
         yield k0, min(k0 + BLOCK_STEPS, steps)
 
 
-def rk4_path(M, y0, inputs, dt: float, slot, noise=None):
+def rk4_path(M, y0, inputs, dt, slot, noise=None):
     """Classical RK4 for the linear ODE y' = M(u) y, sampled on the step grid.
 
     ``inputs(j)`` is the input u at the stage points j (an index array):
     2k, 2k + 1 and 2k + 2 are the start, midpoint and end of step k.  ``M``
     maps stacked inputs to stacked (d, d) matrices; y0 is a vector or a (d, r)
-    matrix.  ``slot`` is ``snap_to_grid``'s step-to-sample map: its length is
-    the step count plus one, and the state at grid point k (y0 at k = 0) is
-    stored as sample ``slot[k]`` unless that is -1.  Returns the samples
-    stacked along axis 0.
+    matrix.  ``slot`` maps grid points to samples, like ``snap_to_grid``'s:
+    its length is the step count plus one, and the state at grid point k (y0
+    at k = 0) is stored as sample ``slot[k]`` unless that is -1.  Returns the
+    samples stacked along axis 0.
 
     With ``noise``, the path is the mean and covariance of the linear SDE
     dy = M(u) y dt + G(u) dW, where ``noise`` maps stacked inputs to stacked
-    (d, p) matrices G.  The stage points are then quarter steps (4k to 4k + 4
-    span step k), y0 is the pair (mean, covariance) and each step is
+    (d, p) matrices G.  ``dt`` may then hold one length per step.  The stage
+    points are quarter steps (4k to 4k + 4 span step k), y0 is the pair
+    (mean, covariance) and each step is
 
         m <- R m,    P <- R P R^T + S,
 
@@ -103,6 +104,7 @@ def rk4_path(M, y0, inputs, dt: float, slot, noise=None):
                     states[s] = y
         return states
 
+    h = np.broadcast_to(dt, (slot.size - 1,))
     m, P = (np.array(v, dtype=float) for v in y0)
     means = np.empty((count,) + m.shape)
     covs = np.empty((count,) + P.shape)
@@ -111,11 +113,12 @@ def rk4_path(M, y0, inputs, dt: float, slot, noise=None):
     for k0, k1 in _blocks(slot.size - 1):
         u = inputs(np.arange(4 * k0, 4 * k1 + 1))
         Ms, G = M(u), noise(u[::2])
-        R = _rk4_maps(Ms[:-1:4], Ms[2::4], Ms[4::4], dt)
-        R_half = _rk4_maps(Ms[2::4], Ms[3::4], Ms[4::4], 0.5 * dt)
-        W = np.concatenate([np.sqrt(dt / 6.0) * (R @ G[:-1:2]),
-                            np.sqrt(2.0 * dt / 3.0) * (R_half @ G[1::2]),
-                            np.sqrt(dt / 6.0) * G[2::2]], axis=-1)
+        hb = h[k0:k1, None, None]
+        R = _rk4_maps(Ms[:-1:4], Ms[2::4], Ms[4::4], hb)
+        R_half = _rk4_maps(Ms[2::4], Ms[3::4], Ms[4::4], 0.5 * hb)
+        W = np.concatenate([np.sqrt(hb / 6.0) * (R @ G[:-1:2]),
+                            np.sqrt(2.0 * hb / 3.0) * (R_half @ G[1::2]),
+                            np.sqrt(hb / 6.0) * G[2::2]], axis=-1)
         S = W @ W.swapaxes(-1, -2)
         for k in range(k1 - k0):
             Rk = R[k]

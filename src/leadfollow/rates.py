@@ -57,7 +57,7 @@ def monte_carlo_moments(scen) -> MomentSeries:
     hw = 1.96 * sq.std(axis=0, ddof=1) / np.sqrt(trials)
     return MomentSeries(
         times=scen.sample_times, follower_ids=tuple(fol), mean_err=mean_err,
-        mse=mse, halfwidth=hw, provenance="monte_carlo",
+        mse=mse, halfwidth=hw, provenance="monte_carlo", step_error=None,
     )
 
 

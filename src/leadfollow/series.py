@@ -12,7 +12,9 @@ class MomentSeries:
     """Per-follower error moments on a time grid.
 
     ``halfwidth`` (95% confidence half-widths of the mean-square errors) is
-    present exactly when the provenance is Monte Carlo.
+    present exactly when the provenance is Monte Carlo.  ``step_error`` is the
+    oracle's Richardson estimate of its own largest relative mse error; it is
+    None for Monte Carlo series and for series read back from CSV.
     """
 
     times: np.ndarray          # (S,)
@@ -21,6 +23,7 @@ class MomentSeries:
     mse: np.ndarray            # (S, N): E ||x_i - x_0||^2
     halfwidth: np.ndarray | None
     provenance: str            # "monte_carlo" | "oracle"
+    step_error: float | None
 
     def __post_init__(self):
         if (self.halfwidth is not None) != (self.provenance == "monte_carlo"):
@@ -80,5 +83,5 @@ def from_csv(path) -> MomentSeries:
             hw[s, f] = r[3 + n]
     return MomentSeries(
         times=times, follower_ids=fids, mean_err=mean_err, mse=mse,
-        halfwidth=hw, provenance="monte_carlo" if has_hw else "oracle",
+        halfwidth=hw, provenance="monte_carlo" if has_hw else "oracle", step_error=None,
     )

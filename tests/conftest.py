@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import leadfollow as lf
+from leadfollow import moments
 
 
 @pytest.fixture(scope="session")
@@ -52,19 +53,19 @@ def rk4_reference(f, y0, inputs, dt, slot):
     """Independent reference for ``integrate.rk4_path``: classical RK4 for
     y' = f(u, y), calling f once per stage, with ``inputs[2k]``,
     ``inputs[2k + 1]`` and ``inputs[2k + 2]`` the input at the start, midpoint
-    and end of step k, and the state at grid point k stored as sample
-    ``slot[k]`` unless that is -1."""
+    and end of step k, ``dt`` the step length or one length per step, and the
+    state at grid point k stored as sample ``slot[k]`` unless that is -1."""
     y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
     states = np.empty((int(slot.max()) + 1,) + y.shape, dtype=y.dtype)
     if slot[0] >= 0:
         states[slot[0]] = y
-    for k in range(slot.size - 1):
+    for k, h in enumerate(np.broadcast_to(dt, (slot.size - 1,))):
         u0, uh, u1 = inputs[2 * k], inputs[2 * k + 1], inputs[2 * k + 2]
         k1 = f(u0, y)
-        k2 = f(uh, y + 0.5 * dt * k1)
-        k3 = f(uh, y + 0.5 * dt * k2)
-        k4 = f(u1, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = f(uh, y + 0.5 * h * k1)
+        k3 = f(uh, y + 0.5 * h * k2)
+        k4 = f(u1, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if slot[k + 1] >= 0:
             states[slot[k + 1]] = y
     return states
@@ -73,8 +74,9 @@ def rk4_reference(f, y0, inputs, dt, slot):
 def reference_moments(scen):
     """Independent reference for the moment oracle: ``rk4_reference`` on the
     moment ODEs m' = F m, P' = F P + P F^T + Ga Ga^T of the state
-    (m, vec P), with F the dense Kronecker drift and Ga the dense noise routing
-    scaled by each receiver's gain.  Returns (mean (S, N, n), mse (S, N))."""
+    (m, vec P) on the oracle's grid, with F the dense Kronecker drift and Ga
+    the dense noise routing scaled by each receiver's gain.  Returns
+    (mean (S, N, n), mse (S, N))."""
     fol = scen.graph.follower_indices
     N, n = len(fol), scen.plant.n
     D = N * n
@@ -90,10 +92,11 @@ def reference_moments(scen):
         dP = F @ P + P @ F.T + a_rows[:, None] * GG * a_rows
         return np.concatenate([F @ y[:D], dP.ravel()])
 
-    _, slot = scen.sample_grid()
-    gains = scen.profile.gain_all(np.arange(2 * scen.steps + 1) * (0.5 * scen.dt))
+    t, slot = moments.step_grid(scen.sample_times, moments.max_step(scen))
+    h = np.diff(t)
+    gains = scen.profile.gain_all(np.append(np.column_stack([t[:-1], t[:-1] + 0.5 * h]), t[-1]))
     m0 = (scen.init_states[fol] - scen.init_states[scen.graph.leader_index]).reshape(-1)
-    y = rk4_reference(deriv, np.concatenate([m0, np.zeros(D * D)]), gains, scen.dt, slot)
+    y = rk4_reference(deriv, np.concatenate([m0, np.zeros(D * D)]), gains, h, slot)
     mean = y[:, :D].reshape(-1, N, n)
     P = y[:, D:].reshape(-1, D, D)
     mse = (mean ** 2).sum(axis=2) + np.einsum("sii->si", P).reshape(-1, N, n).sum(axis=2)

@@ -60,6 +60,7 @@ def test_moments_writes_both_series(runner, small_config, tmp_path):
     assert mc.provenance == "monte_carlo"
     assert oracle.provenance == "oracle"
     assert np.array_equal(mc.times, oracle.times)
+    assert re.search(r"^oracle step error: \d\.\d\de-\d+ \(relative mse", res.output, re.M)
 
 
 def test_output_dir_from_environment(runner, small_config, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from leadfollow.gains import make_profile
 from leadfollow.moments import InsufficientSpanError
 from leadfollow.scenario import scenario_from_dict
 from leadfollow.verify import oracle_deviation_sigmas
-from leadfollow import integrate, sde
+from leadfollow import integrate, moments, sde
 
 from conftest import dense_drift, reference_moments
 
@@ -41,10 +41,14 @@ def test_zero_initial_error_mean_stays_zero(fig1):
     assert series.mse[1:].min() > 0.0  # noise still feeds the second moment
 
 
-def test_oracle_matches_reference_rk4(fig1):
+def test_oracle_matches_reference_rk4(fig1, monkeypatch):
     """The propagator form m <- R m, P <- R P R^T + S agrees with per-stage
-    RK4 on the moment ODEs (dense drift and noise routing) to far below the
-    step's discretization error: both are fourth order at the same step."""
+    RK4 on the moment ODEs (dense drift and noise routing) on the oracle's
+    grid: both are fourth order, so their gap shrinks like the step^4.  At a
+    quarter of the default step it is about 1e-10 (2.5e-8 at the default,
+    where per-stage RK4 on P, with the doubled rates of F P + P F^T, carries
+    about 16 times the oracle's own error)."""
+    monkeypatch.setattr(moments, "STEP_SCALE", 0.03 / 4.0)
     scen = fig1.with_overrides(t_end=20.0)
     assert scen.sample_times.size == 40 and scen.sample_times[0] == 0.5
     series = lf.evolve_moments(scen)
@@ -62,16 +66,61 @@ def test_oracle_invariant_to_block_steps(fig1, monkeypatch):
     assert np.array_equal(again.mse, series.mse)
     assert np.array_equal(again.mean_err, series.mean_err)
     assert np.array_equal(cov_again, cov)
+    assert again.step_error == series.step_error
 
 
-def test_oracle_step_halving_error(fig1):
+def test_oracle_independent_of_sde_step(fig1):
+    """The oracle steps on its own grid: for sample times on both SDE grids,
+    dt = 1e-3 and 5e-4 give the same oracle bit for bit."""
+    st = [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]
+    coarse = fig1.with_overrides(t_end=3.0, dt=1e-3, sample_times=st)
+    fine = coarse.with_overrides(dt=5e-4)
+    assert np.array_equal(coarse.sample_times, fine.sample_times)
+    a, cov_a = lf.evolve_moments(coarse, return_cov=True)
+    b, cov_b = lf.evolve_moments(fine, return_cov=True)
+    assert np.array_equal(a.mse, b.mse)
+    assert np.array_equal(a.mean_err, b.mean_err)
+    assert np.array_equal(cov_a, cov_b)
+
+
+def test_oracle_grid_lands_on_sample_times(fig1):
+    """Each interval between samples (and from 0 to the first) is split into
+    equal steps no longer than h_max, and the grid hits every sample time."""
+    scen = fig1.with_overrides(t_end=20.0)
+    h_max = moments.max_step(scen)
+    assert h_max == pytest.approx(0.01, rel=1e-6)  # 0.03 / rho(F(a(0))), rho = 3
+    t, slot = moments.step_grid(scen.sample_times, h_max)
+    assert np.array_equal(t[slot >= 0], scen.sample_times)
+    assert np.array_equal(slot[slot >= 0], np.arange(scen.sample_times.size))
+    assert t[0] == 0.0 and np.diff(t).max() <= h_max * (1.0 + 1e-6)
+    assert t.size - 1 == 2015
+    assert np.array_equal(lf.evolve_moments(scen).times, scen.sample_times)
+
+
+def test_oracle_step_follows_fast_gains(fig1):
+    """A gain whose shift is 0.01 decays at beta c / d = 160 at t = 0, far
+    faster than F's spectral radius (19): h_max follows the gain, and the
+    oracle's error estimate stays below 1e-7 (the radius alone gives 1.5e-5)."""
+    raw = json.loads(fig1.raw_json)
+    raw["gains"]["agents"][4] = [1.5, 4.0, 0.01]
+    raw["integration"]["t_end"] = 1.0
+    raw["integration"]["sample_times"] = {"kind": "logspace", "start": 0.01, "stop": 1.0,
+                                          "count": 20}
+    scen = scenario_from_dict(raw)
+    assert moments.max_step(scen) == pytest.approx(0.03 / 160.0)
+    assert lf.evolve_moments(scen).step_error <= 1e-7
+
+
+def test_oracle_step_halving_error(fig1, monkeypatch):
     """The oracle's own discretization error, measured: against a run at a
     quarter of the finest step, the mse error shrinks at least 12-fold per
-    halving of dt (fourth order gives 16), and every sampled covariance is
-    positive semidefinite to round-off."""
-    st = np.linspace(0.0, 5.0, 26)
-    runs = [lf.evolve_moments(fig1.with_overrides(t_end=5.0, dt=dt, sample_times=st),
-                              return_cov=True) for dt in (0.04, 0.02, 0.01, 0.0025)]
+    halving of the oracle's step (fourth order gives 16), and every sampled
+    covariance is positive semidefinite to round-off."""
+    scen = fig1.with_overrides(t_end=5.0, sample_times=np.linspace(0.0, 5.0, 26))
+    runs = []
+    for factor in (4.0, 2.0, 1.0, 0.25):
+        monkeypatch.setattr(moments, "STEP_SCALE", 0.03 * factor)
+        runs.append(lf.evolve_moments(scen, return_cov=True))
     ref = runs[-1][0].mse
     errors = [np.abs(series.mse - ref).max() / ref.max() for series, _ in runs[:-1]]
     assert errors[0] / errors[1] >= 12.0
@@ -79,6 +128,18 @@ def test_oracle_step_halving_error(fig1):
     for _, cov in runs:
         eig = np.linalg.eigvalsh(cov)
         assert np.all(eig[:, 0] >= -1e-12 * eig[:, -1])
+
+
+def test_oracle_step_error_estimate(fig1, monkeypatch):
+    """The oracle's Richardson estimate of its own relative mse error lies
+    within a factor of 3 of the error against a run at a quarter of its step."""
+    scen = fig1.with_overrides(t_end=5.0)
+    series = lf.evolve_moments(scen)
+    assert moments.STEP_SCALE == 0.03
+    monkeypatch.setattr(moments, "STEP_SCALE", 0.03 / 4.0)
+    ref = lf.evolve_moments(scen).mse
+    true = (np.abs(series.mse - ref) / ref).max()
+    assert true / 3.0 <= series.step_error <= 3.0 * true
 
 
 def test_monte_carlo_agrees_at_spot_times(fig1, fig1_mc, fig1_oracle):

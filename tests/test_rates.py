@@ -21,7 +21,7 @@ def _synthetic_series(times, mse):
     mse = np.asarray(mse, dtype=float)
     return MomentSeries(
         times=times, follower_ids=(1,), mean_err=np.zeros((times.size, 1, 2)),
-        mse=mse[:, None], halfwidth=None, provenance="oracle",
+        mse=mse[:, None], halfwidth=None, provenance="oracle", step_error=None,
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import leadfollow as lf
-from leadfollow import sde
+from leadfollow import sde, verify
 from leadfollow.integrate import snap_to_grid
 from leadfollow.scenario import scenario_from_dict
 
@@ -33,6 +33,24 @@ def test_reduction_identity_shared_noise(fig1):
         red = lf.simulate_reduced(scen, seed)
         err = full.states[:, 1:, :] - full.states[:, [0], :]
         assert np.abs(red.states - err @ K2).max() <= 1e-10
+
+
+def test_reduction_check_covers_every_batched_path(fig1, monkeypatch):
+    """The battery's reduction check runs its REDUCTION_SEEDS paths as one
+    batch; a 1e-6 gap on trial 2's reduced path alone makes it FAIL."""
+    assert verify.check_reduction_consistency(fig1).passed
+    run_reduced = sde._run_reduced
+
+    def shifted(scen, seed, trials):
+        out = run_reduced(scen, seed, trials)
+        assert trials == verify.REDUCTION_SEEDS == 3
+        out[2] += 1e-6
+        return out
+
+    monkeypatch.setattr(sde, "_run_reduced", shifted)
+    res = verify.check_reduction_consistency(fig1)
+    assert not res.passed
+    assert res.value == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_reduced_matches_oracle_mean_without_noise(fig1):
