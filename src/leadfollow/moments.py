@@ -7,7 +7,7 @@ For a linear SDE with additive noise the first two moments obey closed ODEs:
 
 with F(t) = I_N (x) (A + B K1) - Gains(t) L2 (x) B K2 and G(t) the stacked
 noise routing.  The oracle steps them with the RK4 propagator
-(``integrate.rk4_path`` with noise, gains at quarter steps):
+(``integrate.rk4_path`` with noise):
 
     m <- R_k m,    P <- R_k P R_k^T + S_k,
 
@@ -88,8 +88,6 @@ def _propagate(scen, h_max: float):
     F = scen.drift()
     sqrt_q = np.sqrt(noise_channels(scen, fol))
     t, slot = step_grid(scen.sample_times, h_max)
-    h = np.diff(t)
-    stages = np.append((t[:-1, None] + h[:, None] * np.arange(4) / 4.0).ravel(), t[-1])
 
     def diffusion(a):
         # Follower p's noise a_p sqrt(q_p) dB_p enters its last state component.
@@ -98,8 +96,7 @@ def _propagate(scen, h_max: float):
         return G
 
     m0 = (scen.init_states[fol] - scen.init_states[scen.graph.leader_index]).reshape(-1)
-    m, P = rk4_path(F, (m0, np.zeros((D, D))),
-                    lambda j: scen.profile.gain_all(stages[j]), h, slot, noise=diffusion)
+    m, P = rk4_path(F, m0, scen.profile.gain_all, t, slot, noise=diffusion)
     return m.reshape(-1, N, n), P
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sde
-from .integrate import rk4_path, snap_to_grid
+from .integrate import rk4_path
 from .matrices import companion
 from .plant import NotHurwitzError, require_hurwitz  # noqa: F401  (filter_response raises it)
 from .series import MomentSeries
@@ -149,15 +149,12 @@ def jordan_transition(lam: complex, r: int, gain_integral) -> TransitionMatrix:
                             gain_integral=np.asarray(gain_integral, dtype=float))
 
 
-def jordan_transition_ode(lam: complex, gain_fn, r: int, t0: float, grid) -> np.ndarray:
-    """Independent oracle: direct RK4 integration of Xi' = -a(t) J Xi from I."""
+def jordan_transition_ode(lam: complex, gain_fn, r: int, grid) -> np.ndarray:
+    """Independent oracle: RK4 integration of Xi' = -a(t) J Xi from I at
+    grid[0], stepped and sampled on the increasing ``grid``."""
     J = np.eye(r, dtype=complex) * lam + np.eye(r, k=1)
-    grid = np.asarray(grid, dtype=float)
-    dt = np.diff(grid).min()
-    steps = int(round((grid[-1] - t0) / dt))
-    _, slot = snap_to_grid(grid, dt, steps, t0)
-    return rk4_path(lambda a: -a[:, None, None] * J, np.eye(r, dtype=complex),
-                    lambda j: np.asarray(gain_fn(t0 + 0.5 * dt * j), dtype=float), dt, slot)
+    return rk4_path(lambda a: -a[:, None, None] * J, np.eye(r, dtype=complex), gain_fn,
+                    grid, np.arange(len(grid)))
 
 
 @dataclass(frozen=True)
@@ -203,9 +200,10 @@ def filter_response(b, drive_times, drive_values, init):
     """Response of the stable filter xi^(n) + b_{n-1} xi^(n-1) + ... + b_0 xi = drive.
 
     ``b`` lists monic coefficients low to high (b_0, ..., b_{n-1}, 1).  The
-    drive is sampled on a uniform grid; midpoint values for the RK4 stages come
-    from linear interpolation.  Returns (times, states) where states[:, k] is
-    the kth derivative of xi for k = 0..n (the nth from the equation itself).
+    drive is sampled on any increasing grid, which is also the RK4 step grid;
+    its values inside a step come from linear interpolation.  Returns (times,
+    states) where states[:, k] is the kth derivative of xi for k = 0..n (the
+    nth from the equation itself).
     """
     b = np.asarray(b, dtype=float)
     require_hurwitz(b, "filter polynomial")
@@ -214,18 +212,13 @@ def filter_response(b, drive_times, drive_values, init):
     z = np.asarray(drive_values, dtype=float)
     if t.size != z.size or t.size < 2:
         raise GridMismatchError("drive times and values must match with >= 2 samples")
-    dts = np.diff(t)
-    dt = dts[0]
-    if not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
-        raise GridMismatchError("drive grid must be uniform")
+    if not np.all(np.diff(t) > 0):
+        raise GridMismatchError("drive grid must be increasing")
     init = np.asarray(init, dtype=float)
     if init.shape != (n,):
         raise GridMismatchError(f"initial state must have shape ({n},)")
 
     comp = companion(b)
-    drive = np.empty(2 * t.size - 1)
-    drive[0::2] = z
-    drive[1::2] = 0.5 * (z[:-1] + z[1:])
 
     def M(u):
         # The drive enters the last derivative through the augmented state (xi, 1).
@@ -234,6 +227,7 @@ def filter_response(b, drive_times, drive_values, init):
         A[:, n - 1, n] = u
         return A
 
-    states = rk4_path(M, np.append(init, 1.0), drive.__getitem__, dt, np.arange(t.size))[:, :n]
+    states = rk4_path(M, np.append(init, 1.0), lambda s: np.interp(s, t, z), t,
+                      np.arange(t.size))[:, :n]
     top = z - states @ b[:n]
     return t, np.column_stack([states, top])

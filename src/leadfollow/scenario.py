@@ -20,7 +20,8 @@ times that share a step are merged.  The gains list covers every node
 including the leader.  A leaderless profile covers every node; in a
 leader-following scenario the leader's triple is ignored, since the autonomous
 leader has no gain.  ``leaderless`` must be a JSON boolean and
-``monte_carlo`` may be left out (2 trials, seed 0); at most MAX_TRIALS trials.
+``monte_carlo`` may be left out (2 trials, seed 0); at most MAX_TRIALS trials
+and MAX_STEPS steps.
 Validation is aggregated: every failure is reported, not just the first, and
 each starts with the name of its section.
 
@@ -40,12 +41,14 @@ import numpy as np
 from . import gains as gains_mod
 from . import plant as plant_mod
 from . import sde, topology
-from .integrate import snap_to_grid
 from .matrices import MAX_DIM
 
 
 # Every trial has its own noise generator, built before the first step.
 MAX_TRIALS = 10 ** 6
+# The engines hold every step's gains in memory and loop over the steps in
+# Python: 50 times fig2's 200k steps.
+MAX_STEPS = 10 ** 7
 
 
 class ParseError(ValueError):
@@ -86,10 +89,11 @@ class SimScenario:
             return list(range(self.graph.node_count))
         return self.graph.follower_indices
 
-    def sample_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """``snap_to_grid`` of the sample times: (step of each sample, sample
-        stored at each step or -1)."""
-        return snap_to_grid(self.sample_times, self.dt, self.steps)
+    def sample_slots(self) -> np.ndarray:
+        """The sample stored at each of the steps + 1 grid points, or -1."""
+        slot = np.full(self.steps + 1, -1)
+        slot[np.rint(self.sample_times / self.dt).astype(int)] = np.arange(self.sample_times.size)
+        return slot
 
     def drift(self) -> plant_mod.ClosedLoopDrift:
         """Closed-loop drift F(a) of the ``sim_nodes``."""
@@ -137,6 +141,8 @@ def _resolve_sample_times(spec, dt: float, t_end: float) -> np.ndarray:
         kind = spec.get("kind", "linspace")
         start, stop = float(spec["start"]), float(spec["stop"])
         count = _integer(spec["count"], "sample_times count")
+        if count > MAX_STEPS + 1:
+            raise ParseError(f"sample_times count {count} exceeds MAX_STEPS + 1 = {MAX_STEPS + 1}")
         if kind == "logspace":
             if min(start, stop) <= 0:
                 raise ParseError("logspace sample_times need start > 0 and stop > 0")
@@ -197,6 +203,9 @@ def _integration(cfg) -> tuple[float, float, np.ndarray]:
     dt, t_end = float(cfg["dt"]), float(cfg["t_end"])
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
+    if np.rint(t_end / dt) > MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps exceed the supported "
+                         f"maximum {MAX_STEPS}")
     return dt, t_end, _resolve_sample_times(cfg.get("sample_times"), dt, t_end)
 
 

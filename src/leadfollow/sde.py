@@ -137,28 +137,11 @@ class _Noise:
         return buf
 
 
-class _ClosedLoop:
-    """Precomputed constant matrices for one scenario."""
-
-    def __init__(self, scen):
-        self.n = scen.plant.n
-        self.dt = scen.dt
-        self.steps = scen.steps
-        self.sim_nodes = scen.sim_nodes
-        self.M = len(self.sim_nodes)
-        self.drift = scen.drift()
-        self.noise_scale = np.sqrt(self.dt) * np.sqrt(noise_channels(scen, self.sim_nodes))
-
-        # Per-step gains of the simulated agents, steps+1 rows.
-        self.gains = scen.profile.gain_all(np.arange(self.steps + 1) * self.dt)
-        self.X0 = scen.init_states[self.sim_nodes].reshape(-1)
-
-    def transitions(self, a_b: np.ndarray) -> np.ndarray:
-        """Euler-Maruyama transitions S_k = I + dt F(a_k), shape (nb, Mn, Mn)."""
-        S = self.drift(a_b)
-        S *= self.dt
-        S += np.eye(S.shape[-1])
-        return S
+def _gains_and_scale(scen) -> tuple[np.ndarray, np.ndarray]:
+    """Gains of the ``sim_nodes`` at the steps + 1 step times, and the noise
+    scale sqrt(dt q): each node's increment standard deviation at gain 1."""
+    gains = scen.profile.gain_all(np.arange(scen.steps + 1) * scen.dt)
+    return gains, np.sqrt(scen.dt) * np.sqrt(noise_channels(scen, scen.sim_nodes))
 
 
 def _euler_maruyama(X, block, tail, steps, dt, wanted, store) -> None:
@@ -315,38 +298,44 @@ def _split(trials: int, shape: tuple, run) -> np.ndarray:
 def _run_full(scen, seed: int, trials: int) -> np.ndarray:
     """Batched Euler-Maruyama paths at the S sample times; returns
     (trials, S, node_count, n)."""
-    cl = _ClosedLoop(scen)
-    n, M, dt = cl.n, cl.M, cl.dt
-    idx, wanted = scen.sample_grid()
+    n, dt, nodes = scen.plant.n, scen.dt, scen.sim_nodes
+    M = len(nodes)
+    drift = scen.drift()
+    gains, scale = _gains_and_scale(scen)
+    wanted = scen.sample_slots()
     lead = scen.graph.leader_index
     x0_path = forcing = None
     if not scen.leaderless:
         x0_path = leader_closed_loop(scen.plant, scen.init_states[lead], scen.t_end, dt)
         w0 = x0_path @ scen.plant.K2[0]
         # Drift term -a_i(t) L1_i K2 x0(t) entering each follower's last component.
-        forcing = -(cl.gains * scen.lap.L1.T) * w0[:, None]
+        forcing = -(gains * scen.lap.L1.T) * w0[:, None]
 
     def run(part, out):
-        noise = _Noise(seed, part, cl.noise_scale)
+        noise = _Noise(seed, part, scale)
         count = len(part)
 
         def block(k0, k1):
-            a_b = cl.gains[k0:k1]
+            a_b = gains[k0:k1]
             v = noise.block(a_b)
             if forcing is not None:
                 v += dt * forcing[k0:k1]
-            return cl.transitions(a_b), v
+            # Euler-Maruyama transitions S_k = I + dt F(a_k).
+            S = drift(a_b)
+            S *= dt
+            S += np.eye(S.shape[-1])
+            return S, v
 
         def store(s_i, k, X):
-            out[:, s_i, cl.sim_nodes, :] = X.reshape(count, M, n)
+            out[:, s_i, nodes, :] = X.reshape(count, M, n)
             if x0_path is not None:
                 out[:, s_i, lead, :] = x0_path[k]
 
-        _euler_maruyama(np.tile(cl.X0, (count, 1)), block,
+        _euler_maruyama(np.tile(scen.init_states[nodes].reshape(-1), (count, 1)), block,
                         lambda X: X.reshape(count, M, n)[:, :, -1],
-                        cl.steps, dt, wanted, store)
+                        scen.steps, dt, wanted, store)
 
-    return _split(trials, (idx.size, scen.graph.node_count, n), run)
+    return _split(trials, (scen.sample_times.size, scen.graph.node_count, n), run)
 
 
 def _run_reduced(scen, seed: int, trials: int) -> np.ndarray:
@@ -354,28 +343,28 @@ def _run_reduced(scen, seed: int, trials: int) -> np.ndarray:
     returns (trials, S, N)."""
     if scen.leaderless:
         raise SimulationError("the reduced error dynamics require a leader")
-    cl = _ClosedLoop(scen)
-    dt = cl.dt
-    idx, wanted = scen.sample_grid()
+    dt, nodes = scen.dt, scen.sim_nodes
+    gains, scale = _gains_and_scale(scen)
+    wanted = scen.sample_slots()
 
     K2 = scen.plant.K2[0]
-    err0 = scen.init_states[cl.sim_nodes] - scen.init_states[scen.graph.leader_index]
-    eye, L2 = np.eye(cl.M), scen.lap.L2
+    err0 = scen.init_states[nodes] - scen.init_states[scen.graph.leader_index]
+    eye, L2 = np.eye(len(nodes)), scen.lap.L2
 
     def run(part, out):
-        noise = _Noise(seed, part, cl.noise_scale)
+        noise = _Noise(seed, part, scale)
 
         def block(k0, k1):
-            a_b = cl.gains[k0:k1]
+            a_b = gains[k0:k1]
             return eye - dt * (a_b[:, :, None] * L2), noise.block(a_b)
 
         def store(s_i, k, Xh):
             out[:, s_i, :] = Xh
 
         _euler_maruyama(np.tile(err0 @ K2, (len(part), 1)), block, lambda Xh: Xh,
-                        cl.steps, dt, wanted, store)
+                        scen.steps, dt, wanted, store)
 
-    return _split(trials, (idx.size, cl.M), run)
+    return _split(trials, (scen.sample_times.size, len(nodes)), run)
 
 
 def simulate_full(scen, seed: int) -> Trajectory:

@@ -162,7 +162,7 @@ def check_jordan_recursion() -> CheckResult:
         profile = make_profile([[mu, c, d]], rng.uniform(0.2, 0.8))
         grid = np.linspace(0.5, 10.0, 8001)
         tm = jordan_transition(lam, r, profile.envelope_integral(0.5, grid))
-        ode = jordan_transition_ode(lam, profile.envelope, r, 0.5, grid)
+        ode = jordan_transition_ode(lam, profile.envelope, r, grid)
         worst = max(worst, float(np.abs(tm.values - ode).max()))
     return _check("jordan_recursion_vs_ode", worst, 1e-6, "<=")
 

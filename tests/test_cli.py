@@ -120,6 +120,19 @@ def test_huge_trial_count_rejected(runner, small_config, tmp_path):
     assert not out.exists()
 
 
+def test_huge_step_count_rejected(runner, small_config, tmp_path):
+    """A dt that would take more steps than the scenario bound fails
+    validation before any gain array is allocated or any file is written."""
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["simulate", "--config", small_config, "--dt", "1e-9",
+                               "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "config validation failed:" in res.output
+    assert "integration: t_end / dt = 1e+10 steps exceed the supported maximum" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["moments", "reproduce-fig1", "verify"])
 def test_single_trial_rejected(runner, small_config, tmp_path, subcommand):
     """The Monte Carlo subcommands name the minimum trial count instead of

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from leadfollow import integrate
-from leadfollow.integrate import rk4_path, snap_to_grid
+from leadfollow.integrate import rk4_path
 
 from conftest import rk4_reference
 
@@ -12,28 +12,50 @@ def _scalar(u):
     return u[:, None, None]
 
 
-def _cos_growth_error(dt):
-    """Endpoint error of y' = cos(t) y, y(0) = 1 on [0, 2]; exact y = exp(sin t)."""
-    steps = int(round(2.0 / dt))
-    _, slot = snap_to_grid([2.0], dt, steps)
-    y = rk4_path(_scalar, [1.0], lambda j: np.cos(0.5 * dt * j), dt, slot)
+def _slots(size, points):
+    """Slot map of a grid of ``size`` points storing grid point points[s] as sample s."""
+    slot = np.full(size, -1)
+    slot[points] = np.arange(len(points))
+    return slot
+
+
+def _cos_growth_error(t):
+    """Endpoint error of y' = cos(t) y, y(0) = 1 on the grid t from 0 to 2;
+    exact y = exp(sin t)."""
+    y = rk4_path(_scalar, [1.0], np.cos, t, _slots(t.size, [-1]))
     return abs(y[0, 0] - np.exp(np.sin(2.0)))
 
 
 def test_rk4_path_stage_inputs_give_fourth_order():
-    """Halving dt cuts the error about 16-fold only if the odd stage points
-    are used at the midpoint stages; the step-start input there gives first order."""
-    assert _cos_growth_error(0.1) / _cos_growth_error(0.05) >= 14.0
+    """Halving dt cuts the error about 16-fold only if the input is taken at
+    each step's midpoint for the midpoint stages; the step-start input there
+    gives first order."""
+    coarse, fine = (_cos_growth_error(np.linspace(0.0, 2.0, k)) for k in (21, 41))
+    assert coarse / fine >= 14.0
+
+
+def test_rk4_path_fourth_order_on_jittered_grid():
+    """On a grid with randomly jittered step lengths, splitting every step in
+    two still cuts the error about 16-fold, twice over."""
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 2.0, 21)
+    t[1:-1] += rng.uniform(-0.03, 0.03, 19)
+    errors = []
+    for _ in range(3):
+        errors.append(_cos_growth_error(t))
+        t = np.sort(np.concatenate([t, 0.5 * (t[:-1] + t[1:])]))
+    assert errors[0] / errors[1] >= 14.0
+    assert errors[1] / errors[2] >= 14.0
 
 
 def test_rk4_path_samples_follow_slot():
-    dt, steps = 0.25, 8
-    idx, slot = snap_to_grid([2.0, 0.0, 0.5], dt, steps)
-    y = rk4_path(_scalar, np.array([[1.0, 2.0]]), lambda j: np.ones(j.size), dt, slot)
+    t = np.linspace(0.0, 2.0, 9)
+    idx = [8, 0, 2]
+    y = rk4_path(_scalar, np.array([[1.0, 2.0]]), np.ones_like, t, _slots(t.size, idx))
     assert y.shape == (3, 1, 2)
     assert np.array_equal(y[1, 0], [1.0, 2.0])
     assert np.allclose(y[:, 0, 1] / y[:, 0, 0], 2.0)
-    assert np.allclose(y[:, 0, 0], np.exp(idx * dt), rtol=1e-4)
+    assert np.allclose(y[:, 0, 0], np.exp(t[idx]), rtol=1e-4)
 
 
 def test_rk4_path_matches_reference_across_blocks(monkeypatch):
@@ -42,7 +64,8 @@ def test_rk4_path_matches_reference_across_blocks(monkeypatch):
     bit for bit the same at any block length."""
     A = np.array([[0.0, 1.0], [-2.0, -0.3]])
     dt, steps = 0.01, 600
-    _, slot = snap_to_grid(np.linspace(0.0, 6.0, 13), dt, steps)
+    t = dt * np.arange(steps + 1)
+    slot = _slots(t.size, np.arange(0, steps + 1, 50))
     u = np.sin(0.5 * dt * np.arange(2 * steps + 1))
 
     def M(v):
@@ -51,14 +74,14 @@ def test_rk4_path_matches_reference_across_blocks(monkeypatch):
         out[:, 1, 2] = v
         return out
 
-    y = rk4_path(M, [1.0, -1.0, 1.0], u.__getitem__, dt, slot)
+    y = rk4_path(M, [1.0, -1.0, 1.0], np.sin, t, slot)
     ref = rk4_reference(lambda v, x: (A * (1.0 + 0.5 * v)) @ x + [0.0, v], [1.0, -1.0],
                         u, dt, slot)
     assert np.array_equal(y[:, 2], np.ones(13))
     assert np.abs(y[:, :2] - ref).max() <= 1e-13
     assert integrate.BLOCK_STEPS == 256
     monkeypatch.setattr(integrate, "BLOCK_STEPS", 7)
-    assert np.array_equal(rk4_path(M, [1.0, -1.0, 1.0], u.__getitem__, dt, slot), y)
+    assert np.array_equal(rk4_path(M, [1.0, -1.0, 1.0], np.sin, t, slot), y)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
@@ -67,11 +90,10 @@ def test_rk4_path_noise_mode_ornstein_uhlenbeck(lam):
     sigma^2 (1 - exp(-2 lam t)) / (2 lam), both at fourth order in dt."""
     sigma, t_end = 0.7, 3.0
     errors = []
-    for dt in (0.1, 0.05):
-        steps = int(round(t_end / dt))
-        _, slot = snap_to_grid([1.0, t_end], dt, steps)
-        m, P = rk4_path(lambda u: -lam * u[:, None, None], ([1.0], [[0.0]]),
-                        lambda j: np.ones(j.size), dt, slot,
+    for steps in (30, 60):
+        grid = np.linspace(0.0, t_end, steps + 1)
+        m, P = rk4_path(lambda u: -lam * u[:, None, None], [1.0], np.ones_like, grid,
+                        _slots(grid.size, [steps // 3, steps]),
                         noise=lambda u: sigma * u[:, None, None])
         t = np.array([1.0, t_end])
         var = sigma ** 2 * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)

@@ -9,7 +9,6 @@ from leadfollow.rates import (
     jordan_transition_ode,
 )
 from leadfollow import integrate
-from leadfollow.integrate import snap_to_grid
 from leadfollow.matrices import companion
 from leadfollow.series import MomentSeries
 
@@ -122,7 +121,7 @@ def test_jordan_recursion_vs_ode_battery():
         profile = make_profile([[mu, c, d]], rng.uniform(0.2, 0.8))
         grid = np.linspace(0.5, 10.0, 8001)
         tm = jordan_transition(lam, r, profile.envelope_integral(0.5, grid))
-        ode = jordan_transition_ode(lam, profile.envelope, r, 0.5, grid)
+        ode = jordan_transition_ode(lam, profile.envelope, r, grid)
         assert np.abs(tm.values - ode).max() <= 1e-10
 
 
@@ -132,16 +131,15 @@ def test_jordan_ode_matches_reference_rk4(monkeypatch):
     lam, r, t0 = 1.2 + 0.3j, 4, 0.5
     gain = lambda t: 1.5 * (np.asarray(t) + 0.5) ** -0.3  # noqa: E731
     grid = np.linspace(t0, 10.0, 8001)
-    ode = jordan_transition_ode(lam, gain, r, t0, grid)
+    ode = jordan_transition_ode(lam, gain, r, grid)
     J = np.eye(r, dtype=complex) * lam + np.eye(r, k=1)
-    dt = np.diff(grid).min()
-    steps = int(round((grid[-1] - t0) / dt))
-    _, slot = snap_to_grid(grid, dt, steps, t0)
-    gains = gain(t0 + 0.5 * dt * np.arange(2 * steps + 1))
-    ref = rk4_reference(lambda a, y: -a * (J @ y), np.eye(r, dtype=complex), gains, dt, slot)
+    h = np.diff(grid)
+    halves = np.append(np.column_stack([grid[:-1], grid[:-1] + 0.5 * h]).ravel(), grid[-1])
+    ref = rk4_reference(lambda a, y: -a * (J @ y), np.eye(r, dtype=complex), gain(halves), h,
+                        np.arange(grid.size))
     assert np.abs(ode - ref).max() <= 1e-12
     monkeypatch.setattr(integrate, "BLOCK_STEPS", 100)
-    assert np.array_equal(jordan_transition_ode(lam, gain, r, t0, grid), ode)
+    assert np.array_equal(jordan_transition_ode(lam, gain, r, grid), ode)
 
 
 def test_batched_transition_matches_per_point_definition():
@@ -235,6 +233,22 @@ def test_filter_matches_reference_rk4(fig1, monkeypatch):
     assert np.array_equal(lf.filter_response(b, t, drive, init)[1], states)
 
 
+def test_filter_nonuniform_grid_matches_exact_constant_drive(fig1):
+    """On an increasing grid refined near 0, the response to a constant drive
+    is the exact solution expm(t A) (init, 1) of the augmented companion
+    system A = [[C, e_n z], [0, 0]]."""
+    b = fig1.plant.K2[0]
+    n = b.size - 1
+    t = 20.0 * np.linspace(0.0, 1.0, 2001) ** 2
+    init = np.array([0.5, -0.5, 1.0])
+    _, states = lf.filter_response(b, t, np.full(t.size, 2.0), init)
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = companion(b)
+    A[n - 1, n] = 2.0
+    exact = np.array([expm(tk * A) @ np.append(init, 1.0) for tk in t])[:, :n]
+    assert np.abs(states[:, :n] - exact).max() <= 1e-9
+
+
 def test_filter_rejections():
     t = np.linspace(0.0, 1.0, 11)
     with pytest.raises(NotHurwitzError):
@@ -242,6 +256,6 @@ def test_filter_rejections():
     with pytest.raises(GridMismatchError):
         lf.filter_response([1.0, 1.0], t, np.zeros(5), [0.0])
     with pytest.raises(GridMismatchError):
-        lf.filter_response([1.0, 1.0], t ** 2, np.zeros(t.size), [0.0])
+        lf.filter_response([1.0, 1.0], t[::-1], np.zeros(t.size), [0.0])
     with pytest.raises(GridMismatchError):
         lf.filter_response([1.0, 1.0], t, np.zeros(t.size), [0.0, 0.0])

@@ -143,6 +143,20 @@ def test_null_array_element_is_non_finite(fig1):
      "monte_carlo: trials must lie in [1, 1000000], got 1e+300"),
     (("monte_carlo", "trials"), 10 ** 6 + 1,
      "monte_carlo: trials must lie in [1, 1000000], got 1000001"),
+    (("integration", "dt"), 1e-6,
+     "integration: t_end / dt = 1e+08 steps exceed the supported maximum 10000000"),
+    (("integration", "dt"), 1e-9,
+     "integration: t_end / dt = 1e+11 steps exceed the supported maximum 10000000"),
+    (("integration", "t_end"), 1e300,
+     "integration: t_end / dt = 1e+303 steps exceed the supported maximum 10000000"),
+    (("integration", "dt"), 1e-320,
+     "integration: t_end / dt = inf steps exceed the supported maximum 10000000"),
+    (("integration", "sample_times"), {"kind": "linspace", "start": 0.0, "stop": 100.0,
+                                       "count": 10 ** 12},
+     "integration: sample_times count 1000000000000 exceeds MAX_STEPS + 1 = 10000001"),
+    (("integration", "sample_times"), {"kind": "logspace", "start": 0.5, "stop": 100.0,
+                                       "count": 10 ** 7 + 2},
+     "integration: sample_times count 10000002 exceeds MAX_STEPS + 1 = 10000001"),
 ])
 def test_malformed_field_listed(fig1, path, value, failure):
     """A wrong-typed, missing or out-of-range field is one failure of its own

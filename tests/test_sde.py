@@ -7,7 +7,6 @@ import pytest
 
 import leadfollow as lf
 from leadfollow import sde, verify
-from leadfollow.integrate import snap_to_grid
 from leadfollow.scenario import scenario_from_dict
 
 from conftest import dense_noise_routing
@@ -261,12 +260,20 @@ def test_worker_failure_surfaces_and_is_reaped(fig1, monkeypatch, deadline, how)
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_sample_times_sharing_a_step_rejected():
-    """Distinct sample times that snap to one step would leave a sample slot
-    unwritten; the step map every engine samples through rejects them and
-    names the times.  (Scenario validation merges such times first.)"""
-    with pytest.raises(ValueError, match=r"\[1\.0, 1\.0002\]"):
-        snap_to_grid([1.0, 1.0002, 2.0], 1e-3, 2000)
+def test_merged_sample_times_fill_every_row(fig1):
+    """Sample times that round to one step are merged by validation: the slot
+    map names each remaining sample once, at step rint(t / dt), and the engine
+    writes every sample row with the state at that step."""
+    scen = fig1.with_overrides(dt=0.003, t_end=10.0, sample_times=np.geomspace(1e-3, 10.0, 77))
+    times = scen.sample_times
+    assert times.size < 77
+    slot = scen.sample_slots()
+    assert slot.size == scen.steps + 1
+    assert np.array_equal(slot[slot >= 0], np.arange(times.size))
+    assert np.array_equal(np.flatnonzero(slot >= 0), np.rint(times / scen.dt))
+    every_step = scen.with_overrides(sample_times=scen.dt * np.arange(scen.steps + 1))
+    dense = sde._run_full(every_step, 4, 2)
+    assert np.array_equal(sde._run_full(scen, 4, 2), dense[:, np.flatnonzero(slot >= 0)])
 
 
 def test_reduced_requires_leader(fig2):
