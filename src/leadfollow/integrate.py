@@ -59,8 +59,10 @@ def rk4_path(M, y0, u, t, slot, noise=None):
     """
     t = np.asarray(t, dtype=float)
     h = np.diff(t)
-    # Quarter points: 4k to 4k + 4 span step k, 4k + 2 is its midpoint.
-    quarters = np.append((t[:-1, None] + h[:, None] * np.arange(4) / 4.0).ravel(), t[-1])
+    # Stage points, q per step: qk to qk + q span step k and qk + q/2 is its
+    # midpoint.  The noise terms also read the quarter points, so q = 4 there.
+    q = 2 if noise is None else 4
+    points = np.append((t[:-1, None] + h[:, None] * np.arange(q) / q).ravel(), t[-1])
     wanted = slot.tolist()
     count = int(slot.max()) + 1
     y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
@@ -74,10 +76,10 @@ def rk4_path(M, y0, u, t, slot, noise=None):
             covs[wanted[0]] = P
     for k0 in range(0, h.size, BLOCK_STEPS):
         k1 = min(k0 + BLOCK_STEPS, h.size)
-        ub = u(quarters[4 * k0:4 * k1 + 1])
+        ub = u(points[q * k0:q * k1 + 1])
         Ms = M(ub)
         hb = h[k0:k1, None, None]
-        R = _rk4_maps(Ms[:-1:4], Ms[2::4], Ms[4::4], hb)
+        R = _rk4_maps(Ms[:-1:q], Ms[q // 2::q], Ms[q::q], hb)
         if noise is not None:
             G = noise(ub[::2])
             R_half = _rk4_maps(Ms[2::4], Ms[3::4], Ms[4::4], 0.5 * hb)

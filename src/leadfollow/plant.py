@@ -139,10 +139,31 @@ def build_plant(alpha, b) -> PlantModel:
     )
 
 
+def _expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Moler & Van Loan, SIAM Review
+    45(1), 2003): the Taylor series to degree 18 on m / 2^s, with s the least
+    count that makes ||m / 2^s||_1 <= 1/2 (remainder below 2e-23), then s
+    squarings.  A non-finite m gives a non-finite result."""
+    norm = np.abs(m).sum(axis=0).max()
+    # norm = f 2^e with f in [1/2, 1); frexp gives e = 0 for inf and nan.
+    f, e = np.frexp(norm)
+    s = int(e) + int(f > 0.5) if norm > 0.5 else 0
+    a = np.ldexp(m, -s)
+    eye = np.eye(m.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = eye
+        for k in range(18, 0, -1):
+            out = eye + (a @ out) / k
+        for _ in range(s):
+            out = out @ out
+    return out
+
+
 def leader_closed_loop(plant: PlantModel, x0_init, t_end: float, dt: float) -> np.ndarray:
     """Propagate the leader's autonomous closed loop x0' = (A + B K1) x0.
 
-    Each step of size ``dt`` applies the exact propagator expm((A + B K1) dt).
+    Each step of size ``dt`` applies the exact propagator expm((A + B K1) dt),
+    from ``_expm``: numpy alone, so that no simulation imports scipy.linalg.
     Returns the trajectory at t = k dt, k = 0..round(t_end / dt), shape
     (steps + 1, n).
     """
@@ -152,12 +173,8 @@ def leader_closed_loop(plant: PlantModel, x0_init, t_end: float, dt: float) -> n
     x0 = np.asarray(x0_init, dtype=float)
     if x0.shape != (plant.n,):
         raise DimensionMismatchError(f"initial state must have shape ({plant.n},)")
-    # Imported here: scipy.linalg pulls in numpy.testing and numpy.f2py, which
-    # leaderless runs and scenario loading never need.
-    from scipy.linalg import expm
-
     steps = int(round(t_end / dt))
-    prop = expm(m * dt)
+    prop = _expm(m * dt)
     traj = np.empty((steps + 1, plant.n))
     traj[0] = x0
     for k in range(steps):

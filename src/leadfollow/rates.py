@@ -124,9 +124,12 @@ class TransitionMatrix:
         """log of the spectral norm at every time, computed stably.
 
         Factoring out the diagonal decay exp(-lam u) keeps the residual
-        Toeplitz factor well scaled even when the raw entries underflow.
+        Toeplitz factor T well scaled even when the raw entries underflow.  T
+        is real, so its spectral norm is the square root of the largest
+        eigenvalue of T^T T.
         """
-        norms = np.linalg.norm(_toeplitz_upper(self._scaled_band()), 2, axis=(-2, -1))
+        T = _toeplitz_upper(self._scaled_band())
+        norms = np.sqrt(np.linalg.eigvalsh(T.swapaxes(-1, -2) @ T)[:, -1])
         return -self.lam.real * self.gain_integral + np.log(norms)
 
 

@@ -22,8 +22,11 @@ path for one row).  Both engines consume the same increments, so a shared
 
 Each step is X <- S_k X plus the increment (noise and, for followers, the
 leader forcing) on the last components, with S_k = I + dt F(a_k) built for a
-block of steps at once.  Additive noise makes plain Euler-Maruyama strong
-order 1.0; nothing higher is warranted at desk scale.
+block of BLOCK_STEPS steps at once.  The block's gains a_k, noise and leader
+forcing are formed with it, from the step index alone, so a step's arithmetic
+does not depend on the block length, and only the leader's path and the sample
+slot map span the whole horizon.  Additive noise makes plain Euler-Maruyama
+strong order 1.0; nothing higher is warranted at desk scale.
 
 A batch of trials is split into contiguous trial ranges, one per usable CPU
 (``WORKERS``, from the process's CPU affinity; 1 where the platform has
@@ -41,6 +44,7 @@ from __future__ import annotations
 import json
 import mmap
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,11 +141,17 @@ class _Noise:
         return buf
 
 
-def _gains_and_scale(scen) -> tuple[np.ndarray, np.ndarray]:
-    """Gains of the ``sim_nodes`` at the steps + 1 step times, and the noise
-    scale sqrt(dt q): each node's increment standard deviation at gain 1."""
-    gains = scen.profile.gain_all(np.arange(scen.steps + 1) * scen.dt)
-    return gains, np.sqrt(scen.dt) * np.sqrt(noise_channels(scen, scen.sim_nodes))
+def _gains_and_scale(scen) -> tuple[Callable[[int, int], np.ndarray], np.ndarray]:
+    """``gains(k0, k1)``, the gains (k1 - k0, M) of the ``sim_nodes`` at the
+    step times k dt, k0 <= k < k1, and the noise scale sqrt(dt q): each node's
+    increment standard deviation at gain 1.  The engines call ``gains`` for
+    one block at a time, so no whole-horizon gain array is ever built."""
+    profile, dt = scen.profile, scen.dt
+
+    def gains(k0: int, k1: int) -> np.ndarray:
+        return profile.gain_all(np.arange(k0, k1) * dt)
+
+    return gains, np.sqrt(dt) * np.sqrt(noise_channels(scen, scen.sim_nodes))
 
 
 def _euler_maruyama(X, block, tail, steps, dt, wanted, store) -> None:
@@ -304,22 +314,22 @@ def _run_full(scen, seed: int, trials: int) -> np.ndarray:
     gains, scale = _gains_and_scale(scen)
     wanted = scen.sample_slots()
     lead = scen.graph.leader_index
-    x0_path = forcing = None
+    x0_path = w0 = None
     if not scen.leaderless:
         x0_path = leader_closed_loop(scen.plant, scen.init_states[lead], scen.t_end, dt)
         w0 = x0_path @ scen.plant.K2[0]
-        # Drift term -a_i(t) L1_i K2 x0(t) entering each follower's last component.
-        forcing = -(gains * scen.lap.L1.T) * w0[:, None]
+        l1 = scen.lap.L1[:, 0]  # the leader's Laplacian column, follower rows
 
     def run(part, out):
         noise = _Noise(seed, part, scale)
         count = len(part)
 
         def block(k0, k1):
-            a_b = gains[k0:k1]
+            a_b = gains(k0, k1)
             v = noise.block(a_b)
-            if forcing is not None:
-                v += dt * forcing[k0:k1]
+            if w0 is not None:
+                # Drift term -a_i(t) L1_i K2 x0(t) entering each follower's last component.
+                v -= dt * (a_b * l1 * w0[k0:k1, None])
             # Euler-Maruyama transitions S_k = I + dt F(a_k).
             S = drift(a_b)
             S *= dt
@@ -355,7 +365,7 @@ def _run_reduced(scen, seed: int, trials: int) -> np.ndarray:
         noise = _Noise(seed, part, scale)
 
         def block(k0, k1):
-            a_b = gains[k0:k1]
+            a_b = gains(k0, k1)
             return eye - dt * (a_b[:, :, None] * L2), noise.block(a_b)
 
         def store(s_i, k, Xh):

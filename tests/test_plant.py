@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import leadfollow
 from leadfollow.matrices import eigenvalues
 from leadfollow.plant import (
-    DimensionMismatchError, NotHurwitzError, build_plant, closed_loop_drift,
+    DimensionMismatchError, NotHurwitzError, _expm, build_plant, closed_loop_drift,
     leader_closed_loop,
 )
 from leadfollow.topology import laplacian_partition, random_spanning_tree_digraph
@@ -96,6 +97,31 @@ def test_leader_limit_trivial_cases():
     assert np.allclose(traj[-1], [1.0, 0.0], atol=1e-6)
 
 
+def test_expm_matches_scipy(fig1, fig2):
+    """The leader's propagator agrees with scipy's expm to round-off in the
+    1-norm, on the presets' leader matrices and on 200 random plants, also
+    where ||m dt||_1 > 1/2 makes it square."""
+    rng = np.random.default_rng(13)
+    plants = [fig1.plant, fig2.plant] + [_random_plant(rng) for _ in range(200)]
+    squared = 0
+    for p in plants:
+        for dt, tol in ((1e-3, 1e-15), (1e-2, 1e-15), (0.1, 1e-13), (1.0, 1e-13)):
+            m = p.closed_loop_A * dt
+            ref = expm(m)
+            err = np.abs(_expm(m) - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max()
+            assert err <= tol
+            squared += np.abs(m).sum(axis=0).max() > 0.5
+    assert squared >= 200
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_expm_nonfinite_input_gives_nonfinite_result(bad):
+    """No OverflowError and no RuntimeWarning: the non-finite entry shows."""
+    m = np.eye(3)
+    m[0, 2] = bad
+    assert not np.isfinite(_expm(m)).all()
+
+
 def _drift_cases(fig1, fig2):
     """(plant, Laplacian block) pairs: the presets and random spanning-tree
     digraphs with random Hurwitz designs."""
@@ -123,12 +149,17 @@ def test_closed_loop_drift_matches_dense_form(fig1, fig2):
             assert np.abs(batch[k] - ref).max() <= tol
 
 
-def test_loading_a_scenario_does_not_import_scipy():
-    """Only the leader's expm needs scipy, and it is imported there: importing
-    leadfollow and loading a scenario stays free of scipy.linalg's imports."""
+def test_runs_do_not_import_scipy_linalg():
+    """The leader's propagator is numpy's own: a forked Monte Carlo run, the
+    moment oracle and the reduction check leave scipy.linalg unimported."""
     code = ("import sys, leadfollow; "
-            "leadfollow.load_scenario(leadfollow.scenario.preset_path('fig1')); "
-            "print('scipy' in sys.modules)")
+            "from leadfollow import moments, rates, sde, verify; "
+            "sde.WORKERS = 2; "
+            "scen = leadfollow.load_scenario(leadfollow.scenario.preset_path('fig1')); "
+            "scen = scen.with_overrides(t_end=1.0, trials=4, sample_times=[0.5, 1.0]); "
+            "rates.monte_carlo_moments(scen); moments.evolve_moments(scen); "
+            "assert verify.check_reduction_consistency(scen).passed; "
+            "print('scipy.linalg' in sys.modules)")
     path = [str(Path(leadfollow.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -124,14 +124,20 @@ def test_trials_invariant_to_trial_count(fig1):
     assert np.array_equal(few, many[:8])
 
 
-def test_trials_invariant_to_block_steps(fig1, monkeypatch):
-    """Each stream is consumed step-major, so the block size changes nothing."""
+def test_trials_invariant_to_block_steps(fig1, fig2, monkeypatch):
+    """Each stream is consumed step-major and the gains and leader forcing are
+    formed per block from the step index alone, so the block size changes
+    nothing, also with block boundaries that split no sample interval evenly."""
     scen = _invariance_scenario(fig1)
+    leaderless = fig2.with_overrides(t_end=2.0, sample_times=np.linspace(0.0, 2.0, 21))
     assert sde.BLOCK_STEPS == 512
     full, red = sde._run_full(scen, 5, 4), sde._run_reduced(scen, 5, 4)
-    monkeypatch.setattr(sde, "BLOCK_STEPS", 256)
-    assert np.array_equal(sde._run_full(scen, 5, 4), full)
-    assert np.array_equal(sde._run_reduced(scen, 5, 4), red)
+    free = sde._run_full(leaderless, 5, 4)
+    for block_steps in (256, 7):
+        monkeypatch.setattr(sde, "BLOCK_STEPS", block_steps)
+        assert np.array_equal(sde._run_full(scen, 5, 4), full)
+        assert np.array_equal(sde._run_reduced(scen, 5, 4), red)
+        assert np.array_equal(sde._run_full(leaderless, 5, 4), free)
 
 
 def test_single_trial_matches_trial_zero(fig1):
