@@ -143,7 +143,10 @@ def _expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring (Moler & Van Loan, SIAM Review
     45(1), 2003): the Taylor series to degree 18 on m / 2^s, with s the least
     count that makes ||m / 2^s||_1 <= 1/2 (remainder below 2e-23), then s
-    squarings.  A non-finite m gives a non-finite result."""
+    squarings.  A non-finite m gives a non-finite result.  Not a general-purpose
+    expm: it loses the diagonal when a huge off-diagonal entry dominates ||m||_1
+    (I + 1e20 e_0 e_1^T gives 1, not e).  Its one caller passes (A + B K1) dt,
+    which scenario validation keeps small: dt ||F(a(0))||_2 <= 1."""
     norm = np.abs(m).sum(axis=0).max()
     # norm = f 2^e with f in [1/2, 1); frexp gives e = 0 for inf and nan.
     f, e = np.frexp(norm)
@@ -159,24 +162,25 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def leader_closed_loop(plant: PlantModel, x0_init, t_end: float, dt: float) -> np.ndarray:
-    """Propagate the leader's autonomous closed loop x0' = (A + B K1) x0.
+def leader_closed_loop(plant: PlantModel, x0_init, steps, dt: float) -> np.ndarray:
+    """The leader's autonomous closed loop x0' = (A + B K1) x0 at the step
+    counts ``steps``: row i is x0(steps[i] dt), shape (len(steps), n).
 
-    Each step of size ``dt`` applies the exact propagator expm((A + B K1) dt),
-    from ``_expm``: numpy alone, so that no simulation imports scipy.linalg.
-    Returns the trajectory at t = k dt, k = 0..round(t_end / dt), shape
-    (steps + 1, n).
-    """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    m = plant.closed_loop_A
+    x0(k dt) = Phi^k x0, Phi = expm((A + B K1) dt) from ``_expm`` (no scipy),
+    by binary powering: for each bit j of k, lowest first, the rows with bit j
+    set take Phi^(2^j), which is then squared.  A row depends on its own k
+    alone, bit for bit; the cost is O(len(steps) log max(steps))."""
     x0 = np.asarray(x0_init, dtype=float)
     if x0.shape != (plant.n,):
         raise DimensionMismatchError(f"initial state must have shape ({plant.n},)")
-    steps = int(round(t_end / dt))
-    prop = _expm(m * dt)
-    traj = np.empty((steps + 1, plant.n))
-    traj[0] = x0
-    for k in range(steps):
-        traj[k + 1] = prop @ traj[k]
-    return traj
+    k = np.asarray(steps, dtype=np.int64)
+    if (k < 0).any():
+        raise ValueError("step counts must be nonnegative")
+    out = np.tile(x0, (k.size, 1))
+    power = _expm(plant.closed_loop_A * dt)
+    while k.any():
+        odd = (k & 1).astype(bool)
+        out[odd] = np.einsum("ij,sj->si", power, out[odd])
+        k = k >> 1
+        power = power @ power
+    return out

@@ -46,8 +46,8 @@ from .matrices import MAX_DIM
 
 # Every trial has its own noise generator, built before the first step.
 MAX_TRIALS = 10 ** 6
-# The engines hold every step's gains in memory and loop over the steps in
-# Python: 50 times fig2's 200k steps.
+# The engines loop over the steps in Python, so a run's time grows with its
+# step count (nothing they hold does): 50 times fig2's 200k steps.
 MAX_STEPS = 10 ** 7
 
 
@@ -89,11 +89,9 @@ class SimScenario:
             return list(range(self.graph.node_count))
         return self.graph.follower_indices
 
-    def sample_slots(self) -> np.ndarray:
-        """The sample stored at each of the steps + 1 grid points, or -1."""
-        slot = np.full(self.steps + 1, -1)
-        slot[np.rint(self.sample_times / self.dt).astype(int)] = np.arange(self.sample_times.size)
-        return slot
+    def sample_steps(self) -> np.ndarray:
+        """The grid step k = rint(t / dt) of each sample time t, shape (S,)."""
+        return np.rint(self.sample_times / self.dt).astype(int)
 
     def drift(self) -> plant_mod.ClosedLoopDrift:
         """Closed-loop drift F(a) of the ``sim_nodes``."""

@@ -3,9 +3,9 @@
 Two simulators share one noise convention:
 
 * ``simulate_full`` integrates every agent's state under the relative-state
-  protocol with per-edge measurement noise.  In the leader-following case the
-  leader is autonomous and noise-free, so its linear dynamics are advanced with
-  the exact matrix-exponential propagator; followers take Euler-Maruyama steps.
+  protocol with per-edge measurement noise.  The autonomous, noise-free leader
+  is exact at the sample times (``leader_closed_loop``) and reaches the
+  followers only through K2 x0(t) = K2 x0(0), constant as K2 (A + B K1) = 0.
 * ``simulate_reduced`` integrates the N-dimensional filtered error
   Xhat = (I (x) K2)(X_F - 1 (x) x0), whose drift is -Gains(t) L2 Xhat.
 
@@ -24,9 +24,9 @@ Each step is X <- S_k X plus the increment (noise and, for followers, the
 leader forcing) on the last components, with S_k = I + dt F(a_k) built for a
 block of BLOCK_STEPS steps at once.  The block's gains a_k, noise and leader
 forcing are formed with it, from the step index alone, so a step's arithmetic
-does not depend on the block length, and only the leader's path and the sample
-slot map span the whole horizon.  Additive noise makes plain Euler-Maruyama
-strong order 1.0; nothing higher is warranted at desk scale.
+does not depend on the block length, and nothing the engines hold grows with
+the horizon.  Additive noise makes plain Euler-Maruyama strong order 1.0;
+nothing higher is warranted at desk scale.
 
 A batch of trials is split into contiguous trial ranges, one per usable CPU
 (``WORKERS``, from the process's CPU affinity; 1 where the platform has
@@ -160,11 +160,11 @@ def _euler_maruyama(X, block, tail, steps, dt, wanted, store) -> None:
 
     ``block(k0, k1)`` returns the block's transitions S (nb, D, D) and
     increments v (trials, nb, M); ``tail`` views the M noisy components of a
-    (trials, D) array; ``store(s_i, k, X)`` records X after step k as sample s_i.
+    (trials, D) array; ``store(s_i, X)`` records X after step wanted[s_i].
     """
-    wanted = wanted.tolist()
-    if wanted[0] >= 0:
-        store(wanted[0], 0, X)
+    at = {k: s_i for s_i, k in enumerate(wanted.tolist())}
+    if 0 in at:
+        store(at[0], X)
     bufs = (X, np.empty_like(X))
     tails = (tail(bufs[0]), tail(bufs[1]))
     cur = 0
@@ -177,9 +177,9 @@ def _euler_maruyama(X, block, tail, steps, dt, wanted, store) -> None:
             np.matmul(bufs[cur], S[k].T, out=bufs[nxt])
             np.add(tails[nxt], v[:, k], out=tails[nxt])
             cur = nxt
-            s_i = wanted[k0 + k + 1]
-            if s_i >= 0:
-                store(s_i, k0 + k + 1, bufs[cur])
+            s_i = at.get(k0 + k + 1)
+            if s_i is not None:
+                store(s_i, bufs[cur])
         if not np.isfinite(bufs[cur]).all():
             raise _first_nonfinite(start, S, v, tail, k0, dt)
 
@@ -312,13 +312,12 @@ def _run_full(scen, seed: int, trials: int) -> np.ndarray:
     M = len(nodes)
     drift = scen.drift()
     gains, scale = _gains_and_scale(scen)
-    wanted = scen.sample_slots()
+    wanted = scen.sample_steps()
     lead = scen.graph.leader_index
-    x0_path = w0 = None
+    forcing = None
     if not scen.leaderless:
-        x0_path = leader_closed_loop(scen.plant, scen.init_states[lead], scen.t_end, dt)
-        w0 = x0_path @ scen.plant.K2[0]
-        l1 = scen.lap.L1[:, 0]  # the leader's Laplacian column, follower rows
+        # -dt L1_i K2 x0(t) per unit gain, constant: K2 (A + B K1) = 0 fixes K2 x0.
+        forcing = -dt * (scen.plant.K2[0] @ scen.init_states[lead]) * scen.lap.L1[:, 0]
 
     def run(part, out):
         noise = _Noise(seed, part, scale)
@@ -327,25 +326,25 @@ def _run_full(scen, seed: int, trials: int) -> np.ndarray:
         def block(k0, k1):
             a_b = gains(k0, k1)
             v = noise.block(a_b)
-            if w0 is not None:
-                # Drift term -a_i(t) L1_i K2 x0(t) entering each follower's last component.
-                v -= dt * (a_b * l1 * w0[k0:k1, None])
+            if forcing is not None:
+                v += a_b * forcing
             # Euler-Maruyama transitions S_k = I + dt F(a_k).
             S = drift(a_b)
             S *= dt
             S += np.eye(S.shape[-1])
             return S, v
 
-        def store(s_i, k, X):
+        def store(s_i, X):
             out[:, s_i, nodes, :] = X.reshape(count, M, n)
-            if x0_path is not None:
-                out[:, s_i, lead, :] = x0_path[k]
 
         _euler_maruyama(np.tile(scen.init_states[nodes].reshape(-1), (count, 1)), block,
                         lambda X: X.reshape(count, M, n)[:, :, -1],
                         scen.steps, dt, wanted, store)
 
-    return _split(trials, (scen.sample_times.size, scen.graph.node_count, n), run)
+    out = _split(trials, (scen.sample_times.size, scen.graph.node_count, n), run)
+    if not scen.leaderless:
+        out[:, :, lead, :] = leader_closed_loop(scen.plant, scen.init_states[lead], wanted, dt)
+    return out
 
 
 def _run_reduced(scen, seed: int, trials: int) -> np.ndarray:
@@ -355,7 +354,7 @@ def _run_reduced(scen, seed: int, trials: int) -> np.ndarray:
         raise SimulationError("the reduced error dynamics require a leader")
     dt, nodes = scen.dt, scen.sim_nodes
     gains, scale = _gains_and_scale(scen)
-    wanted = scen.sample_slots()
+    wanted = scen.sample_steps()
 
     K2 = scen.plant.K2[0]
     err0 = scen.init_states[nodes] - scen.init_states[scen.graph.leader_index]
@@ -368,7 +367,7 @@ def _run_reduced(scen, seed: int, trials: int) -> np.ndarray:
             a_b = gains(k0, k1)
             return eye - dt * (a_b[:, :, None] * L2), noise.block(a_b)
 
-        def store(s_i, k, Xh):
+        def store(s_i, Xh):
             out[:, s_i, :] = Xh
 
         _euler_maruyama(np.tile(err0 @ K2, (len(part), 1)), block, lambda Xh: Xh,

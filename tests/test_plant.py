@@ -78,7 +78,7 @@ def test_reference_closed_loop_spectrum():
 
 def test_leader_limit_reference_plant():
     p = build_plant([-1.0, 1.0, 0.0, -2.0], [1.0, 3.0, 3.0])
-    traj = leader_closed_loop(p, [1.0, 1.0, 1.0, 1.0], 50.0, 1e-3)
+    traj = leader_closed_loop(p, [1.0, 1.0, 1.0, 1.0], np.arange(50001), 1e-3)
     times = np.arange(traj.shape[0]) * 1e-3
     assert traj.shape == (50001, 4)
     assert np.abs(traj[-1, 1:]).max() < 1e-4
@@ -89,12 +89,59 @@ def test_leader_limit_reference_plant():
 
 def test_leader_limit_trivial_cases():
     p = build_plant([-1.0, 1.0, 0.0, -2.0], [1.0, 3.0, 3.0])
-    traj = leader_closed_loop(p, np.zeros(4), 10.0, 1e-3)
+    traj = leader_closed_loop(p, np.zeros(4), np.arange(10001), 1e-3)
     assert np.abs(traj).max() == 0.0
 
     d = build_plant([0.0, 0.0], [1.0])
-    traj = leader_closed_loop(d, [1.0, 0.0], 50.0, 1e-3)
+    traj = leader_closed_loop(d, [1.0, 0.0], np.arange(50001), 1e-3)
     assert np.allclose(traj[-1], [1.0, 0.0], atol=1e-6)
+
+
+def test_leader_matches_scipy_at_fig1_samples(fig1):
+    """x0(k dt) agrees with expm((A + B K1) k dt) x0 to 1e-12 relative at
+    every sample step of the bundled scenario."""
+    x0 = fig1.init_states[fig1.graph.leader_index]
+    steps = fig1.sample_steps()
+    traj = leader_closed_loop(fig1.plant, x0, steps, fig1.dt)
+    for k, x in zip(steps, traj):
+        ref = expm(fig1.plant.closed_loop_A * (k * fig1.dt)) @ x0
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_leader_matches_scipy_random_plants():
+    """On 20 random plants and initial states, x0(k dt) agrees with
+    expm((A + B K1) k dt) x0 to 1e-10 |x0| for k up to 1e7."""
+    rng = np.random.default_rng(14)
+    steps = np.concatenate([[0, 1, 2, 3], np.unique(np.geomspace(5, 1e7, 40).astype(int))])
+    dt = 1e-3
+    for _ in range(20):
+        p = _random_plant(rng)
+        x0 = rng.standard_normal(p.n)
+        traj = leader_closed_loop(p, x0, steps, dt)
+        for k, x in zip(steps, traj):
+            ref = expm(p.closed_loop_A * (k * dt)) @ x0
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(x0)
+
+
+def test_leader_row_depends_on_its_step_alone(fig1):
+    """A row is bit-identical whatever the other requested steps are: under
+    a permutation, a subset and a single step."""
+    x0 = fig1.init_states[fig1.graph.leader_index]
+    steps = np.array([0, 1, 7, 512, 4096, 33333, 99999, 100000, 10 ** 7])
+    full = leader_closed_loop(fig1.plant, x0, steps, fig1.dt)
+    perm = np.random.default_rng(3).permutation(steps.size)
+    assert np.array_equal(leader_closed_loop(fig1.plant, x0, steps[perm], fig1.dt), full[perm])
+    assert np.array_equal(leader_closed_loop(fig1.plant, x0, steps[1::3], fig1.dt), full[1::3])
+    for i, k in enumerate(steps):
+        assert np.array_equal(leader_closed_loop(fig1.plant, x0, [k], fig1.dt)[0], full[i])
+
+
+def test_leader_rejections(fig1):
+    p = fig1.plant
+    with pytest.raises(ValueError):
+        leader_closed_loop(p, np.ones(4), [0, 3, -1], 1e-3)
+    with pytest.raises(DimensionMismatchError):
+        leader_closed_loop(p, np.ones(3), [0, 3], 1e-3)
 
 
 def test_expm_matches_scipy(fig1, fig2):

@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,19 +268,57 @@ def test_worker_failure_surfaces_and_is_reaped(fig1, monkeypatch, deadline, how)
 
 
 def test_merged_sample_times_fill_every_row(fig1):
-    """Sample times that round to one step are merged by validation: the slot
-    map names each remaining sample once, at step rint(t / dt), and the engine
-    writes every sample row with the state at that step."""
+    """Sample times that round to one step are merged by validation: the
+    sample steps name each remaining sample once, at step rint(t / dt), and
+    the engine writes every sample row with the state at that step."""
     scen = fig1.with_overrides(dt=0.003, t_end=10.0, sample_times=np.geomspace(1e-3, 10.0, 77))
     times = scen.sample_times
     assert times.size < 77
-    slot = scen.sample_slots()
-    assert slot.size == scen.steps + 1
-    assert np.array_equal(slot[slot >= 0], np.arange(times.size))
-    assert np.array_equal(np.flatnonzero(slot >= 0), np.rint(times / scen.dt))
+    steps = scen.sample_steps()
+    assert steps.size == times.size
+    assert np.array_equal(np.unique(steps), steps)
+    assert np.array_equal(steps, np.rint(times / scen.dt))
     every_step = scen.with_overrides(sample_times=scen.dt * np.arange(scen.steps + 1))
     dense = sde._run_full(every_step, 4, 2)
-    assert np.array_equal(sde._run_full(scen, 4, 2), dense[:, np.flatnonzero(slot >= 0)])
+    assert np.array_equal(sde._run_full(scen, 4, 2), dense[:, steps])
+
+
+def test_followers_see_the_leader_only_through_k2_x0(fig1):
+    """K2 (A + B K1) = 0 makes K2 x0(t) = K2 x0(0) the followers' only view of
+    the leader: moving the leader's initial state by v with K2 v = 0 leaves
+    every follower row bit-identical and moves the leader's own rows."""
+    scen = fig1.with_overrides(t_end=20.0)
+    lead = scen.graph.leader_index
+    v = np.array([3.0, -1.0, 0.0, 0.0])
+    assert scen.plant.K2[0] @ v == 0.0
+    raw = json.loads(scen.raw_json)
+    raw["init"]["states"][lead] = list(scen.init_states[lead] + v)
+    moved = scenario_from_dict(raw)
+    base, shifted = sde._run_full(scen, 6, 4), sde._run_full(moved, 6, 4)
+    fol = scen.graph.follower_indices
+    assert np.array_equal(base[:, :, fol], shifted[:, :, fol])
+    assert not np.array_equal(base[:, :, lead], shifted[:, :, lead])
+
+
+def test_engines_hold_nothing_horizon_long(fig1, fig2):
+    """A run's peak traced memory does not grow with its horizon: nothing the
+    engines hold spans every step.  Each run is measured at t_end 2 and 8
+    with the same 3 samples, after one warm-up run."""
+    runs = [(sde._run_full, fig1, 2), (sde._run_reduced, fig1, 2), (sde._run_full, fig2, 1)]
+
+    def peak(run, scen, trials, t_end):
+        scen = scen.with_overrides(t_end=t_end, sample_times=[0.0, 1.0, 2.0])
+        tracemalloc.start()
+        try:
+            run(scen, 3, trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for run, scen, trials in runs:
+        run(scen.with_overrides(t_end=2.0, sample_times=[0.0, 1.0, 2.0]), 3, trials)
+    for run, scen, trials in runs:
+        assert abs(peak(run, scen, trials, 8.0) - peak(run, scen, trials, 2.0)) < 16 * 1024
 
 
 def test_reduced_requires_leader(fig2):
