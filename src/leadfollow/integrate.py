@@ -1,17 +1,24 @@
 """The package's one classical RK4, on any increasing time grid.
 
-Every RK4 caller in ``src/`` integrates a linear ODE y' = M(u(t)) y: the Jordan
-check and the moment oracle directly, the filter check with its forcing in the
-augmented matrix [[M, c], [0, 0]] acting on (y, 1).  On a linear ODE one
-classical RK4 step of length h is the exact matrix map y <- R y with
+Every RK4 caller in ``src/`` integrates a real linear ODE y' = M(u(t)) y: the
+Jordan check (in the real form of its complex system) and the moment oracle
+directly, the filter check with its forcing in the augmented matrix
+[[M, c], [0, 0]] acting on (y, 1).  On a linear ODE one classical RK4 step of
+length h is the exact matrix map y <- R y with
 
     R = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
     K1 = M0,  K2 = Mh (I + h/2 K1),  K3 = Mh (I + h/2 K2),  K4 = M1 (I + h K3),
 
 where M0, Mh and M1 are M at the start, midpoint and end of the step.  The
-maps of BLOCK_STEPS steps are built at once with stacked matmuls, so a step
-costs one matmul in Python.  Every step's arithmetic is the same whatever the
-block length, so results do not depend on BLOCK_STEPS.
+maps of BLOCK_STEPS steps are built at once with stacked matmuls.  The steps
+are grouped in sub-blocks of W, aligned to multiples of W from the grid's
+first step, and the maps inside every sub-block of a block are prefix-composed
+together, W - 1 stacked matmuls in all.  Each sub-block's start state then
+needs one matmul in Python, and the wanted states come from their sub-block's
+start state in one more stacked matmul, so a block of 256 steps costs about 31
+Python turns instead of 256.  A block that ends inside a sub-block carries its
+partial product into the next, so every state is the same product of the same
+maps, and results do not depend on BLOCK_STEPS.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 BLOCK_STEPS = 256
+W = 16  # steps per sub-block
 
 
 def _rk4_maps(M0, Mh, M1, h) -> np.ndarray:
@@ -35,14 +43,30 @@ def _rk4_maps(M0, Mh, M1, h) -> np.ndarray:
     return acc
 
 
+def _on_sub_blocks(maps, off: int, carry, fill) -> np.ndarray:
+    """The block's ``maps`` (nb, d, d) laid out on whole sub-blocks
+    (n_sub, W, d, d) from position ``off``, with ``carry`` (the partial product
+    of the sub-block the block starts inside, if any) just before them and
+    ``fill`` everywhere else."""
+    end = off + maps.shape[0]
+    out = np.empty((-(-end // W) * W,) + maps.shape[1:])
+    out[...] = fill
+    out[off:end] = maps
+    if off:
+        out[off - 1] = carry
+    return out.reshape((-1, W) + maps.shape[1:])
+
+
 def rk4_path(M, y0, u, t, slot, noise=None):
-    """Classical RK4 for the linear ODE y' = M(u(t)) y on the step grid ``t``.
+    """Classical RK4 for the real linear ODE y' = M(u(t)) y on the step grid ``t``.
 
     ``t`` holds the K + 1 increasing grid times, and step k runs from t[k] to
     t[k + 1].  ``u`` maps stacked times to stacked inputs and ``M`` maps
-    stacked inputs to stacked (d, d) matrices; y0 is a vector or a (d, r)
-    matrix.  The state at grid point k (y0 at k = 0) is stored as sample
-    ``slot[k]`` unless that is -1.  Returns the samples stacked along axis 0.
+    stacked inputs to stacked real (d, d) matrices; y0 is a real vector or
+    (d, r) matrix.  A complex system goes in its real form; a complex y0 or M
+    raises TypeError.  The state at grid point k (y0 at k = 0) is stored as
+    sample ``slot[k]`` unless that is -1.  Returns the samples stacked along
+    axis 0.
 
     With ``noise``, the path is the mean and covariance of the linear SDE
     dy = M(u) y dt + G(u) dW from covariance 0, where ``noise`` maps stacked
@@ -53,47 +77,79 @@ def rk4_path(M, y0, u, t, slot, noise=None):
 
     with S Simpson's rule for the noise injected over the step,
     int Phi(t1, s) G G^T Phi(t1, s)^T ds, taking Phi(t1, t0) = R and
-    Phi(t1, t_mid) the RK4 map of the step's second half.  S is a Gram matrix,
-    so P stays positive semidefinite by construction.  Returns the pair
-    (means, covariances).
+    Phi(t1, t_mid) the RK4 map of the step's second half.  Inside a sub-block
+    the injected noise composes as S_j <- R_j S_{j-1} R_j^T + S_j, so P stays
+    a congruence plus a Gram matrix, positive semidefinite by construction.
+    Returns the pair (means, covariances).
     """
+    if np.iscomplexobj(y0):
+        raise TypeError("rk4_path is real-only: pass a complex system in its real form")
     t = np.asarray(t, dtype=float)
     h = np.diff(t)
     # Stage points, q per step: qk to qk + q span step k and qk + q/2 is its
     # midpoint.  The noise terms also read the quarter points, so q = 4 there.
     q = 2 if noise is None else 4
     points = np.append((t[:-1, None] + h[:, None] * np.arange(q) / q).ravel(), t[-1])
-    wanted = slot.tolist()
+    shape = np.shape(y0)
+    y = np.array(y0, dtype=float).reshape(shape[0], -1)
+    d = y.shape[0]
+    eye = np.eye(d)
     count = int(slot.max()) + 1
-    y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
-    states = np.empty((count,) + y.shape, dtype=y.dtype)
-    if noise is not None:
-        P = np.zeros(y.shape * 2)
-        covs = np.empty((count,) + P.shape)
-    if wanted[0] >= 0:
-        states[wanted[0]] = y
+    states = np.empty((count,) + y.shape)
+    P = np.zeros((d, d))
+    covs = np.empty((count, d, d)) if noise is not None else None
+    if slot[0] >= 0:
+        states[slot[0]] = y
         if noise is not None:
-            covs[wanted[0]] = P
+            covs[slot[0]] = P
+    # The partial products of the sub-block the next block starts inside;
+    # y and P stay at that sub-block's start.
+    carry_R = carry_S = None
     for k0 in range(0, h.size, BLOCK_STEPS):
         k1 = min(k0 + BLOCK_STEPS, h.size)
         ub = u(points[q * k0:q * k1 + 1])
         Ms = M(ub)
+        if np.iscomplexobj(Ms):
+            raise TypeError("rk4_path is real-only: M returned complex matrices")
         hb = h[k0:k1, None, None]
+        off, end = k0 % W, k0 % W + k1 - k0
         R = _rk4_maps(Ms[:-1:q], Ms[q // 2::q], Ms[q::q], hb)
+        Rs = _on_sub_blocks(R, off, carry_R, eye)
         if noise is not None:
             G = noise(ub[::2])
             R_half = _rk4_maps(Ms[2::4], Ms[3::4], Ms[4::4], 0.5 * hb)
-            W = np.concatenate([np.sqrt(hb / 6.0) * (R @ G[:-1:2]),
+            V = np.concatenate([np.sqrt(hb / 6.0) * (R @ G[:-1:2]),
                                 np.sqrt(2.0 * hb / 3.0) * (R_half @ G[1::2]),
                                 np.sqrt(hb / 6.0) * G[2::2]], axis=-1)
-            S = W @ W.swapaxes(-1, -2)
-        for k, s in enumerate(wanted[k0 + 1:k1 + 1]):
-            y = R[k] @ y
+            Ss = _on_sub_blocks(V @ V.swapaxes(-1, -2), off, carry_S, 0.0)
+        # Prefix products inside every sub-block at once: position j then maps
+        # its sub-block's start state to the state after step j.
+        for j in range(1, W):
             if noise is not None:
-                P = R[k] @ P @ R[k].T
-                P += S[k]
-            if s >= 0:
-                states[s] = y
+                Ss[:, j] += Rs[:, j] @ Ss[:, j - 1] @ Rs[:, j].swapaxes(-1, -2)
+            Rs[:, j] = Rs[:, j] @ Rs[:, j - 1]
+        n_sub = Rs.shape[0]
+        starts = np.empty((n_sub,) + y.shape)
+        P_starts = np.empty((n_sub, d, d)) if noise is not None else None
+        for s in range(n_sub):
+            starts[s] = y
+            if noise is not None:
+                P_starts[s] = P
+            if s + 1 < n_sub or end % W == 0:
+                y = Rs[s, -1] @ y
                 if noise is not None:
-                    covs[s] = P
+                    P = Rs[s, -1] @ P @ Rs[s, -1].T + Ss[s, -1]
+        carry_R = Rs[-1, end % W - 1]
+        if noise is not None:
+            carry_S = Ss[-1, end % W - 1]
+        # The wanted states, each from its sub-block's start state.
+        sl = slot[k0 + 1:k1 + 1]
+        keep = np.flatnonzero(sl >= 0)
+        pos = off + keep
+        Rw = Rs.reshape((-1, d, d))[pos]
+        states[sl[keep]] = Rw @ starts[pos // W]
+        if noise is not None:
+            covs[sl[keep]] = (Rw @ P_starts[pos // W] @ Rw.swapaxes(-1, -2)
+                              + Ss.reshape((-1, d, d))[pos])
+    states = states.reshape((count,) + shape)
     return states if noise is None else (states, covs)

@@ -23,17 +23,18 @@ class DegenerateRowError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    eigenvalues: np.ndarray  # complex, length = matrix dimension
-    min_real_part: float
+    eigenvalues: np.ndarray  # complex, (..., matrix dimension), sorted along the last axis
+    min_real_part: float     # over all of them
 
 
 def eigenvalues(m) -> Spectrum:
-    """Eigenvalues of a square real matrix together with the smallest real part."""
+    """Eigenvalues of a square real matrix, or of each matrix of a stack
+    (..., d, d), together with the smallest real part."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {a.shape[0]} exceeds supported maximum {MAX_DIM}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.shape[-1] > MAX_DIM:
+        raise ValueError(f"dimension {a.shape[-1]} exceeds supported maximum {MAX_DIM}")
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

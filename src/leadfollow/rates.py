@@ -154,10 +154,17 @@ def jordan_transition(lam: complex, r: int, gain_integral) -> TransitionMatrix:
 
 def jordan_transition_ode(lam: complex, gain_fn, r: int, grid) -> np.ndarray:
     """Independent oracle: RK4 integration of Xi' = -a(t) J Xi from I at
-    grid[0], stepped and sampled on the increasing ``grid``."""
+    grid[0], stepped and sampled on the increasing ``grid``.
+
+    The RK4 runs in real arithmetic, on the real form [[Re J, -Im J],
+    [Im J, Re J]] acting on Y = [Re Xi; Im Xi] from [I; 0], and returns the
+    complex Xi = Y[:r] + i Y[r:].  Complex arithmetic is that real form, so
+    this is the complex RK4 to round-off."""
     J = np.eye(r, dtype=complex) * lam + np.eye(r, k=1)
-    return rk4_path(lambda a: -a[:, None, None] * J, np.eye(r, dtype=complex), gain_fn,
-                    grid, np.arange(len(grid)))
+    real_form = np.block([[J.real, -J.imag], [J.imag, J.real]])
+    Y = rk4_path(lambda a: -a[:, None, None] * real_form, np.eye(2 * r, r), gain_fn,
+                 grid, np.arange(len(grid)))
+    return Y[:, :r] + 1j * Y[:, r:]
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,9 @@ def _resolve_sample_times(spec, dt: float, t_end: float) -> np.ndarray:
         arr = np.asarray(spec, dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise ParseError("sample_times must be a nonempty list of finite times")
-    idx = np.unique(np.rint(arr / dt))
+    # Sorted and deduplicated as np.unique would, without its numpy.ma import.
+    idx = np.sort(np.rint(arr / dt))
+    idx = idx[np.append(True, idx[1:] != idx[:-1])]
     if idx[0] < 0 or idx[-1] > round(t_end / dt):
         raise ParseError("sample_times outside [0, t_end]")
     return idx * dt

@@ -100,3 +100,62 @@ def test_rk4_path_noise_mode_ornstein_uhlenbeck(lam):
         assert np.allclose(m[:, 0], np.exp(-lam * t), rtol=1e-4)
         errors.append(np.abs(P[:, 0, 0] - var).max())
     assert errors[0] / errors[1] >= 14.0
+
+
+def _forced_system(v):
+    """A time-varying 3 x 3 system with its forcing in the last column."""
+    out = np.zeros(v.shape + (3, 3))
+    out[:, :2, :2] = np.array([[0.0, 1.0], [-2.0, -0.3]]) * (1.0 + 0.5 * v[:, None, None])
+    out[:, 1, 2] = v
+    return out
+
+
+def _jittered_grid(steps, seed):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 0.01 * steps, steps + 1)
+    t[1:-1] += rng.uniform(-0.003, 0.003, steps - 1)
+    return t
+
+
+@pytest.mark.parametrize("block_steps", [1, 7, 15, 16, 17, 100])
+def test_rk4_path_independent_of_block_steps(monkeypatch, block_steps):
+    """Blocks that start and end inside a sub-block carry its partial
+    products, so both branches give the same bits at any block length, on a
+    grid whose step count (601) is not a multiple of the sub-block length."""
+    t = _jittered_grid(601, 7)
+    slot = _slots(t.size, [0, 5, 15, 16, 17, 250, 256, 257, 600, 601])
+
+    def run():
+        path = rk4_path(_forced_system, [1.0, -1.0, 1.0], np.sin, t, slot)
+        m, P = rk4_path(_forced_system, [1.0, -1.0, 1.0], np.sin, t, slot,
+                        noise=lambda v: np.stack([np.cos(v), v, 0.0 * v], axis=-1)[..., None])
+        return path, m, P
+
+    expected = run()
+    monkeypatch.setattr(integrate, "BLOCK_STEPS", block_steps)
+    for got, want in zip(run(), expected):
+        assert np.array_equal(got, want)
+
+
+def test_rk4_path_matches_per_step_products():
+    """The prefix-composed sub-blocks give the per-step loop y <- R_k y to
+    round-off on a jittered grid."""
+    t = _jittered_grid(601, 11)
+    h = np.diff(t)
+    v = np.sin(np.append(np.column_stack([t[:-1], t[:-1] + 0.5 * h]).ravel(), t[-1]))
+    Ms = _forced_system(v)
+    R = integrate._rk4_maps(Ms[:-1:2], Ms[1::2], Ms[2::2], h[:, None, None])
+    ref = [np.array([1.0, -1.0, 1.0])]
+    for Rk in R:
+        ref.append(Rk @ ref[-1])
+    ref = np.array(ref)
+    y = rk4_path(_forced_system, [1.0, -1.0, 1.0], np.sin, t, np.arange(t.size))
+    assert np.abs(y - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_rk4_path_rejects_complex():
+    t = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(TypeError):
+        rk4_path(_scalar, [1.0 + 0.5j], np.ones_like, t, np.arange(t.size))
+    with pytest.raises(TypeError):
+        rk4_path(lambda u: 1j * _scalar(u), [1.0], np.ones_like, t, np.arange(t.size))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from leadfollow.matrices import DegenerateRowError, companion, eigenvalues, is_hurwitz
+from leadfollow.matrices import (
+    MAX_DIM, DegenerateRowError, NoConvergenceError, companion, eigenvalues, is_hurwitz,
+)
 from leadfollow.topology import build_digraph, laplacian_partition
 
 from conftest import fig1_weights
@@ -35,6 +37,29 @@ def test_spectrum_trace_and_determinant():
         assert np.sum(vals).real == pytest.approx(np.trace(m), rel=1e-7, abs=1e-7)
         det = np.linalg.det(m)
         assert np.prod(vals).real == pytest.approx(det, rel=1e-6, abs=1e-6 * max(1, abs(det)))
+
+
+def test_stacked_spectra_match_one_by_one():
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((3, 10, 5, 5))
+    spec = eigenvalues(stack)
+    assert spec.eigenvalues.shape == (3, 10, 5)
+    for idx in np.ndindex(3, 10):
+        assert np.array_equal(spec.eigenvalues[idx], eigenvalues(stack[idx]).eigenvalues)
+    assert spec.min_real_part == min(eigenvalues(m).min_real_part for m in stack.reshape(-1, 5, 5))
+
+
+def test_stacked_spectra_rejections():
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues(np.zeros((4, 3, 2)))
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues(np.zeros(3))
+    with pytest.raises(ValueError, match="maximum"):
+        eigenvalues(np.zeros((2, MAX_DIM + 1, MAX_DIM + 1)))
+    bad = np.eye(3)[None].repeat(2, axis=0)
+    bad[1, 0, 0] = np.inf
+    with pytest.raises(NoConvergenceError):
+        eigenvalues(bad)
 
 
 def test_hurwitz_examples():

@@ -142,6 +142,22 @@ def test_jordan_ode_matches_reference_rk4(monkeypatch):
     assert np.array_equal(jordan_transition_ode(lam, gain, r, grid), ode)
 
 
+@pytest.mark.parametrize("lam, r", [(0.8 - 0.6j, 1), (1.3, 1), (0.9, 3)])
+def test_jordan_ode_real_form_matches_complex_rk4(lam, r):
+    """The real-form RK4 is the complex per-stage RK4 to round-off, also for
+    a one-dimensional block and for a real eigenvalue."""
+    gain = lambda t: 1.5 * (np.asarray(t) + 0.5) ** -0.3  # noqa: E731
+    grid = np.linspace(0.5, 10.0, 2001)
+    ode = jordan_transition_ode(lam, gain, r, grid)
+    J = np.eye(r, dtype=complex) * lam + np.eye(r, k=1)
+    h = np.diff(grid)
+    halves = np.append(np.column_stack([grid[:-1], grid[:-1] + 0.5 * h]).ravel(), grid[-1])
+    ref = rk4_reference(lambda a, y: -a * (J @ y), np.eye(r, dtype=complex), gain(halves), h,
+                        np.arange(grid.size))
+    assert ode.shape == ref.shape
+    assert np.abs(ode - ref).max() <= 1e-12
+
+
 def test_batched_transition_matches_per_point_definition():
     grid = np.linspace(0.5, 10.0, 8001)
     u = make_profile([(1.5, 1.0, 0.5)], 0.3).envelope_integral(0.5, grid)

@@ -1,6 +1,10 @@
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +298,19 @@ def test_sample_time_resolution(fig1):
     scen = scenario_from_dict(raw)
     # snapped to the dt grid and deduplicated
     assert np.allclose(scen.sample_times, [0.0, 1.0, 1.001, 50.0])
+
+
+def test_loading_presets_does_not_import_numpy_ma():
+    """Sample times are deduplicated without np.unique, whose numpy.ma import
+    costs a fresh interpreter about 15 ms of set-up."""
+    code = ("import sys, leadfollow; "
+            "[leadfollow.load_scenario(leadfollow.scenario.preset_path(p)) for p in ('fig1', 'fig2')]; "
+            "print('numpy.ma' in sys.modules)")
+    path = [str(Path(lf.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("spec", [
