@@ -2,7 +2,7 @@
 
 from .topology import (
     Digraph, LaplacianPartition, build_digraph, has_spanning_tree,
-    laplacian_partition, random_digraph, random_spanning_tree_digraph,
+    laplacian_partition, random_spanning_tree_digraph,
 )
 from .matrices import Spectrum, eigenvalues, is_hurwitz
 from .plant import PlantModel, build_plant, leader_closed_loop
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Digraph", "LaplacianPartition", "build_digraph", "has_spanning_tree",
-    "laplacian_partition", "random_digraph", "random_spanning_tree_digraph",
+    "laplacian_partition", "random_spanning_tree_digraph",
     "Spectrum", "eigenvalues", "is_hurwitz",
     "PlantModel", "build_plant", "leader_closed_loop",
     "GainProfile", "RateConstants", "make_profile", "rate_constants",

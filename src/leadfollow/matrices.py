@@ -35,6 +35,8 @@ def eigenvalues(m) -> Spectrum:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if a.shape[-1] > MAX_DIM:
         raise ValueError(f"dimension {a.shape[-1]} exceeds supported maximum {MAX_DIM}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

@@ -15,7 +15,7 @@ A scenario is one self-contained JSON document::
 
 ``sample_times`` is either an explicit list or {"kind": "linspace"|"logspace",
 "start": ..., "stop": ..., "count": ...}; times are snapped to the integration
-grid, the grid the engines step on (t_end rounded to whole steps of dt), and
+grid, the grid the engine steps on (t_end rounded to whole steps of dt), and
 times that share a step are merged.  The gains list covers every node
 including the leader.  A leaderless profile covers every node; in a
 leader-following scenario the leader's triple is ignored, since the autonomous
@@ -46,8 +46,8 @@ from .matrices import MAX_DIM
 
 # Every trial has its own noise generator, built before the first step.
 MAX_TRIALS = 10 ** 6
-# The engines loop over the steps in Python, so a run's time grows with its
-# step count (nothing they hold does): 50 times fig2's 200k steps.
+# The engine loops over the steps in Python, so a run's time grows with its
+# step count (nothing it holds does): 50 times fig2's 200k steps.
 MAX_STEPS = 10 ** 7
 
 

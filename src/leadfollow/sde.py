@@ -1,30 +1,32 @@
 """Euler-Maruyama simulation of the noisy consensus closed loop.
 
-Two simulators share one noise convention:
+One engine, ``_run``, steps any closed-loop drift F(a) (``ClosedLoopDrift``)
+of M agents with n states each.  Two systems go through it:
 
 * ``simulate_full`` integrates every agent's state under the relative-state
   protocol with per-edge measurement noise.  The autonomous, noise-free leader
   is exact at the sample times (``leader_closed_loop``) and reaches the
   followers only through K2 x0(t) = K2 x0(0), constant as K2 (A + B K1) = 0.
 * ``simulate_reduced`` integrates the N-dimensional filtered error
-  Xhat = (I (x) K2)(X_F - 1 (x) x0), whose drift is -Gains(t) L2 Xhat.
+  Xhat = (I (x) K2)(X_F - 1 (x) x0), whose drift -Gains(t) L2 is that of N
+  one-state agents with A + B K1 = 0 and K2 = 1.
 
 Noise reaches simulated agent i only through the last component of its
 state, as a_i(t) sum_j w_ij K2 (rho_ij o dW_ij).  Each edge has one receiver,
 so in law this is a_i(t) sqrt(q_i) dB_i, with the per-receiver variance rate
-q_i of ``noise_channels``: the engines draw one standard normal per simulated
+q_i of ``noise_channels``: the engine draws one standard normal per simulated
 agent per step and nothing else.  Trial t draws from its own counter-based
 stream, Philox keyed on [base_seed, t], step-major (all agents of step k, then
 step k + 1), so a trial's path depends neither on BLOCK_STEPS nor on the trial
 count (a one-trial run differs by round-off only: BLAS takes a matrix-vector
-path for one row).  Both engines consume the same increments, so a shared
+path for one row).  Both systems consume the same increments, so a shared
 (scenario, seed) pair yields pathwise-consistent paths.
 
 Each step is X <- S_k X plus the increment (noise and, for followers, the
 leader forcing) on the last components, with S_k = I + dt F(a_k) built for a
 block of BLOCK_STEPS steps at once.  The block's gains a_k, noise and leader
 forcing are formed with it, from the step index alone, so a step's arithmetic
-does not depend on the block length, and nothing the engines hold grows with
+does not depend on the block length, and nothing the engine holds grows with
 the horizon.  Additive noise makes plain Euler-Maruyama strong order 1.0;
 nothing higher is warranted at desk scale.
 
@@ -44,12 +46,11 @@ from __future__ import annotations
 import json
 import mmap
 import os
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import leader_closed_loop
+from .plant import ClosedLoopDrift, leader_closed_loop
 
 BLOCK_STEPS = 512
 
@@ -120,7 +121,7 @@ def noise_channels(scen, nodes) -> np.ndarray:
 
 
 class _Noise:
-    """Per-trial streams drawn one block of steps at a time, shared by both engines."""
+    """Per-trial streams drawn one block of steps at a time."""
 
     def __init__(self, seed: int, trials: int | range, scale: np.ndarray):
         trials = trials if isinstance(trials, range) else range(trials)
@@ -141,56 +142,12 @@ class _Noise:
         return buf
 
 
-def _gains_and_scale(scen) -> tuple[Callable[[int, int], np.ndarray], np.ndarray]:
-    """``gains(k0, k1)``, the gains (k1 - k0, M) of the ``sim_nodes`` at the
-    step times k dt, k0 <= k < k1, and the noise scale sqrt(dt q): each node's
-    increment standard deviation at gain 1.  The engines call ``gains`` for
-    one block at a time, so no whole-horizon gain array is ever built."""
-    profile, dt = scen.profile, scen.dt
-
-    def gains(k0: int, k1: int) -> np.ndarray:
-        return profile.gain_all(np.arange(k0, k1) * dt)
-
-    return gains, np.sqrt(dt) * np.sqrt(noise_channels(scen, scen.sim_nodes))
-
-
-def _euler_maruyama(X, block, tail, steps, dt, wanted, store) -> None:
-    """Advance the batch X (trials, D) by ``steps`` steps X <- X S_k^T, then
-    tail(X) += v_k, one block of BLOCK_STEPS steps at a time.
-
-    ``block(k0, k1)`` returns the block's transitions S (nb, D, D) and
-    increments v (trials, nb, M); ``tail`` views the M noisy components of a
-    (trials, D) array; ``store(s_i, X)`` records X after step wanted[s_i].
-    """
-    at = {k: s_i for s_i, k in enumerate(wanted.tolist())}
-    if 0 in at:
-        store(at[0], X)
-    bufs = (X, np.empty_like(X))
-    tails = (tail(bufs[0]), tail(bufs[1]))
-    cur = 0
-    for k0 in range(0, steps, BLOCK_STEPS):
-        k1 = min(k0 + BLOCK_STEPS, steps)
-        S, v = block(k0, k1)
-        start = bufs[cur].copy()
-        for k in range(k1 - k0):
-            nxt = 1 - cur
-            np.matmul(bufs[cur], S[k].T, out=bufs[nxt])
-            np.add(tails[nxt], v[:, k], out=tails[nxt])
-            cur = nxt
-            s_i = at.get(k0 + k + 1)
-            if s_i is not None:
-                store(s_i, bufs[cur])
-        if not np.isfinite(bufs[cur]).all():
-            raise _first_nonfinite(start, S, v, tail, k0, dt)
-
-
-def _first_nonfinite(X, S, v, tail, k0, dt) -> NonFiniteError:
+def _first_nonfinite(X, S, v, n, k0, dt) -> NonFiniteError:
     """Replay a failed block step by step from its start state X, to name the
     first step that left the finite range and the trials it did so in."""
     for k in range(S.shape[0]):
         X = X @ S[k].T
-        noisy = tail(X)
-        noisy += v[:, k]
+        X[:, n - 1::n] += v[:, k]
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             break
@@ -305,52 +262,76 @@ def _split(trials: int, shape: tuple, run) -> np.ndarray:
     return out
 
 
-def _run_full(scen, seed: int, trials: int) -> np.ndarray:
-    """Batched Euler-Maruyama paths at the S sample times; returns
-    (trials, S, node_count, n)."""
-    n, dt, nodes = scen.plant.n, scen.dt, scen.sim_nodes
-    M = len(nodes)
-    drift = scen.drift()
-    gains, scale = _gains_and_scale(scen)
-    wanted = scen.sample_steps()
-    lead = scen.graph.leader_index
-    forcing = None
-    if not scen.leaderless:
-        # -dt L1_i K2 x0(t) per unit gain, constant: K2 (A + B K1) = 0 fixes K2 x0.
-        forcing = -dt * (scen.plant.K2[0] @ scen.init_states[lead]) * scen.lap.L1[:, 0]
+def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
+    """Batched Euler-Maruyama paths of the agents ``nodes`` (rows of x0, n =
+    x0.shape[1] states each) under ``drift``, at the S sample times; returns
+    (trials, S, *x0.shape), with the rows outside ``nodes`` left unset.
 
-    # Euler-Maruyama transitions S_k = I + dt F(a_k): Phi = I + dt base but
-    # in the M coupling rows, the only ones the gains reach.
+    Each step is X <- X S_k^T, S_k = I + dt F(a_k), then each agent's last
+    component takes its noise increment plus, unless ``forcing`` is None,
+    a_k * forcing.  A block's transitions start from I + dt ``drift.base`` and
+    rebuild only the ``drift.last`` rows, the only ones the gains reach."""
+    n, dt, last = x0.shape[1], scen.dt, drift.last
+    M = last.size
+    wanted = scen.sample_steps()
+    at = {k: s_i for s_i, k in enumerate(wanted.tolist())}
+    scale = np.sqrt(dt) * np.sqrt(noise_channels(scen, scen.sim_nodes))
     eye = np.eye(drift.base.shape[0])
     phi = drift.base * dt + eye
-    last = drift.last
 
-    def run(part, out):
+    def run(part, rows):
         noise = _Noise(seed, part, scale)
         count = len(part)
         S_buf = np.empty((BLOCK_STEPS,) + phi.shape)
         S_buf[...] = phi
-
-        def block(k0, k1):
-            a_b = gains(k0, k1)
+        bufs = (np.tile(x0[nodes].reshape(-1), (count, 1)), np.empty((count, M * n)))
+        tails = [X[:, n - 1::n] for X in bufs]
+        cur = 0
+        if 0 in at:
+            rows[:, at[0], nodes] = bufs[0].reshape(count, M, n)
+        for k0 in range(0, scen.steps, BLOCK_STEPS):
+            k1 = min(k0 + BLOCK_STEPS, scen.steps)
+            a_b = scen.profile.gain_all(np.arange(k0, k1) * dt)
             v = noise.block(a_b)
             if forcing is not None:
                 v += a_b * forcing
             S = S_buf[:k1 - k0]
             S[:, last, :] = (drift.base[last] - a_b[:, :, None] * drift.coupling) * dt + eye[last]
-            return S, v
+            start = bufs[cur].copy()
+            for k in range(k1 - k0):
+                nxt = 1 - cur
+                np.matmul(bufs[cur], S[k].T, out=bufs[nxt])
+                np.add(tails[nxt], v[:, k], out=tails[nxt])
+                cur = nxt
+                s_i = at.get(k0 + k + 1)
+                if s_i is not None:
+                    rows[:, s_i, nodes] = bufs[cur].reshape(count, M, n)
+            if not np.isfinite(bufs[cur]).all():
+                raise _first_nonfinite(start, S, v, n, k0, dt)
 
-        def store(s_i, X):
-            out[:, s_i, nodes, :] = X.reshape(count, M, n)
+    return _split(trials, (wanted.size, *x0.shape), run)
 
-        _euler_maruyama(np.tile(scen.init_states[nodes].reshape(-1), (count, 1)), block,
-                        lambda X: X.reshape(count, M, n)[:, :, -1],
-                        scen.steps, dt, wanted, store)
 
-    out = _split(trials, (scen.sample_times.size, scen.graph.node_count, n), run)
+def _run_full(scen, seed: int, trials: int) -> np.ndarray:
+    """Batched paths of the full system at the S sample times; returns
+    (trials, S, node_count, n)."""
+    lead = scen.graph.leader_index
+    forcing = None
     if not scen.leaderless:
-        out[:, :, lead, :] = leader_closed_loop(scen.plant, scen.init_states[lead], wanted, dt)
+        # -dt L1_i K2 x0(t) per unit gain, constant: K2 (A + B K1) = 0 fixes K2 x0.
+        forcing = -scen.dt * (scen.plant.K2[0] @ scen.init_states[lead]) * scen.lap.L1[:, 0]
+    out = _run(scen, scen.drift(), scen.init_states, scen.sim_nodes, forcing, seed, trials)
+    if not scen.leaderless:
+        out[:, :, lead, :] = leader_closed_loop(scen.plant, scen.init_states[lead],
+                                                scen.sample_steps(), scen.dt)
     return out
+
+
+def _reduced_drift(scen) -> ClosedLoopDrift:
+    """Drift -diag(a) L2 of the filtered error: the closed loop of N one-state
+    agents with A + B K1 = 0 and K2 = 1."""
+    N = scen.lap.L2.shape[0]
+    return ClosedLoopDrift(base=np.zeros((N, N)), coupling=scen.lap.L2, last=np.arange(N))
 
 
 def _run_reduced(scen, seed: int, trials: int) -> np.ndarray:
@@ -358,28 +339,9 @@ def _run_reduced(scen, seed: int, trials: int) -> np.ndarray:
     returns (trials, S, N)."""
     if scen.leaderless:
         raise SimulationError("the reduced error dynamics require a leader")
-    dt, nodes = scen.dt, scen.sim_nodes
-    gains, scale = _gains_and_scale(scen)
-    wanted = scen.sample_steps()
-
-    K2 = scen.plant.K2[0]
-    err0 = scen.init_states[nodes] - scen.init_states[scen.graph.leader_index]
-    eye, L2 = np.eye(len(nodes)), scen.lap.L2
-
-    def run(part, out):
-        noise = _Noise(seed, part, scale)
-
-        def block(k0, k1):
-            a_b = gains(k0, k1)
-            return eye - dt * (a_b[:, :, None] * L2), noise.block(a_b)
-
-        def store(s_i, Xh):
-            out[:, s_i, :] = Xh
-
-        _euler_maruyama(np.tile(err0 @ K2, (len(part), 1)), block, lambda Xh: Xh,
-                        scen.steps, dt, wanted, store)
-
-    return _split(trials, (scen.sample_times.size, len(nodes)), run)
+    err0 = scen.init_states[scen.sim_nodes] - scen.init_states[scen.graph.leader_index]
+    x0 = (err0 @ scen.plant.K2[0])[:, None]
+    return _run(scen, _reduced_drift(scen), x0, slice(None), None, seed, trials)[..., 0]
 
 
 def simulate_full(scen, seed: int) -> Trajectory:

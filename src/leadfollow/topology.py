@@ -162,16 +162,3 @@ def random_spanning_tree_digraph(node_count: int, rng: np.random.Generator) -> D
                 w[i, j] = 2.0 * (1.0 - rng.random())
     return build_digraph(w, 0)
 
-
-def random_digraph(
-    node_count: int,
-    rng: np.random.Generator,
-    leader_index: int = 0,
-    edge_prob: float = 0.2,
-) -> Digraph:
-    """Random digraph with no spanning-tree guarantee (for discriminating tests)."""
-    n = node_count
-    w = np.where(rng.random((n, n)) < edge_prob, 2.0 * (1.0 - rng.random((n, n))), 0.0)
-    np.fill_diagonal(w, 0.0)
-    w[leader_index, :] = 0.0
-    return build_digraph(w, leader_index)

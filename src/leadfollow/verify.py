@@ -196,9 +196,7 @@ def check_filter_tails(scen) -> tuple[CheckResult, CheckResult, CheckResult]:
     t_end = 50.0 / np.abs(roots.real).min()
     t1 = np.arange(0.0, t_end + 1e-9, 0.01)
     _, s1 = filter_response(b, t1, np.full(t1.size, zstar), np.zeros(n))
-    settle = abs(s1[-1, 0] - zstar / b[0]) + np.abs(s1[-1, 1:n]).max() if n > 1 else abs(
-        s1[-1, 0] - zstar / b[0]
-    )
+    settle = abs(s1[-1, 0] - zstar / b[0]) + np.abs(s1[-1, 1:n]).max(initial=0.0)
     const = _check("filter_constant_drive_residual", settle, 1e-4, "<=",
                    surrogate=True)
 

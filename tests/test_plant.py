@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 import leadfollow
+from leadfollow import sde
 from leadfollow.matrices import eigenvalues
 from leadfollow.plant import (
     DimensionMismatchError, NotHurwitzError, _expm, build_plant, closed_loop_drift,
@@ -194,6 +195,20 @@ def test_closed_loop_drift_matches_dense_form(fig1, fig2):
             tol = 1e-13 * np.linalg.norm(ref, 2)
             assert np.abs(drift(a[k]) - ref).max() <= tol
             assert np.abs(batch[k] - ref).max() <= tol
+
+
+def test_reduced_drift_is_the_filtered_error_drift(fig1):
+    """The drift the reduced engine steps is -diag(a) L2, and (I_N (x) K2)
+    intertwines it with the followers' full drift:
+    (I_N (x) K2) F(a) = F_red(a) (I_N (x) K2), at zero and at random gains."""
+    L2 = fig1.lap.L2
+    N = L2.shape[0]
+    full, red = fig1.drift(), sde._reduced_drift(fig1)
+    proj = np.kron(np.eye(N), fig1.plant.K2)
+    rng = np.random.default_rng(13)
+    for a in [np.zeros(N), *rng.uniform(0.05, 3.0, size=(3, N))]:
+        assert np.abs(red(a) + np.diag(a) @ L2).max() <= 1e-12
+        assert np.abs(proj @ full(a) - red(a) @ proj).max() <= 1e-12
 
 
 def test_runs_do_not_import_scipy_linalg():

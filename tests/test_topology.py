@@ -4,11 +4,20 @@ import pytest
 from leadfollow.matrices import eigenvalues
 from leadfollow.topology import (
     LeaderHasNeighborsError, NegativeWeightError, NonSquareError, SelfLoopError,
-    build_digraph, has_spanning_tree, laplacian_partition, random_digraph,
-    random_spanning_tree_digraph,
+    build_digraph, has_spanning_tree, laplacian_partition, random_spanning_tree_digraph,
 )
 
 from conftest import fig1_weights
+
+
+def random_digraph(node_count, rng):
+    """Random digraph led by node 0, each edge present with probability 0.15
+    and weighted uniformly in (0, 2], with no spanning-tree guarantee."""
+    w = np.where(rng.random((node_count, node_count)) < 0.15,
+                 2.0 * (1.0 - rng.random((node_count, node_count))), 0.0)
+    np.fill_diagonal(w, 0.0)
+    w[0, :] = 0.0
+    return build_digraph(w, 0)
 
 
 def test_reference_graph_builds():
@@ -112,7 +121,7 @@ def test_random_generator_discriminates():
     rng = np.random.default_rng(5)
     found = False
     for _ in range(200):
-        g = random_digraph(int(rng.integers(3, 9)), rng, edge_prob=0.15)
+        g = random_digraph(int(rng.integers(3, 9)), rng)
         if has_spanning_tree(g):
             continue
         L2 = laplacian_partition(g).L2
