@@ -48,14 +48,11 @@ def _require_trials(scen) -> None:
         )
 
 
-def _out_dir(out, subcommand, scen) -> Path:
+def _run_dir(out, subcommand: str, scen) -> Path:
+    """Make the run's output directory and write its manifest there."""
     base = out or os.environ.get(OUT_ENV_VAR) or "runs"
     path = Path(base) / f"{subcommand}-{scen.fingerprint}"
     path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_manifest(path: Path, subcommand: str, scen) -> None:
     manifest = {
         "subcommand": subcommand,
         "scenario_fingerprint": scen.fingerprint,
@@ -67,6 +64,16 @@ def _write_manifest(path: Path, subcommand: str, scen) -> None:
     }
     with open(path / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+    return path
+
+
+def _report(path: Path, lines, ok: bool) -> None:
+    """Write the report ``lines`` to ``path``, echo them, and exit 0 iff ``ok``."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    for line in lines:
+        click.echo(line)
+    sys.exit(0 if ok else 1)
 
 
 def _common(f):
@@ -94,8 +101,7 @@ def main():
 def simulate(config, trials, seed, dt, out):
     """Run one noisy trial and write the sampled trajectory as CSV."""
     scen = _resolve_scenario(config, "fig1", trials, seed, dt)
-    run_dir = _out_dir(out, "simulate", scen)
-    _write_manifest(run_dir, "simulate", scen)
+    run_dir = _run_dir(out, "simulate", scen)
     traj = simulate_full(scen, scen.base_seed)
     trajectory_to_csv(traj, run_dir / "trajectory.csv")
     click.echo(f"trajectory: {run_dir / 'trajectory.csv'}")
@@ -111,8 +117,7 @@ def moments(config, trials, seed, dt, out):
             f"scenario {scen.fingerprint}: moments require a leader-following scenario"
         )
     _require_trials(scen)
-    run_dir = _out_dir(out, "moments", scen)
-    _write_manifest(run_dir, "moments", scen)
+    run_dir = _run_dir(out, "moments", scen)
     mc = monte_carlo_moments(scen)
     oracle = evolve_moments(scen)
     mc.to_csv(run_dir / "moments_mc.csv")
@@ -133,15 +138,9 @@ def verify(config, trials, seed, dt, out):
             f"scenario {scen.fingerprint}: verification requires a leader-following scenario"
         )
     _require_trials(scen)
-    run_dir = _out_dir(out, "verify", scen)
-    _write_manifest(run_dir, "verify", scen)
+    run_dir = _run_dir(out, "verify", scen)
     report = run_battery(scen)
-    lines = report.lines()
-    with open(run_dir / "verify_report.txt", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        click.echo(line)
-    sys.exit(0 if report.all_passed else 1)
+    _report(run_dir / "verify_report.txt", report.lines(), report.all_passed)
 
 
 @main.command(name="reproduce-fig1")
@@ -152,8 +151,7 @@ def reproduce_fig1(config, trials, seed, dt, out):
     stays within the threshold for every follower."""
     scen = _resolve_scenario(config, "fig1", trials, seed, dt)
     _require_trials(scen)
-    run_dir = _out_dir(out, "reproduce-fig1", scen)
-    _write_manifest(run_dir, "reproduce-fig1", scen)
+    run_dir = _run_dir(out, "reproduce-fig1", scen)
     mc = monte_carlo_moments(scen)
     mc.to_csv(run_dir / "moments_mc.csv")
     frac = envelope_check(mc, C=5.0, beta=scen.profile.beta, t_min=5.0)
@@ -166,11 +164,7 @@ def reproduce_fig1(config, trials, seed, dt, out):
         ok = ok and f <= 0.2
         lines.append(f"follower_{fid}_violation_fraction: {f:.4f} status={status}")
     lines.append(f"overall: {'pass' if ok else 'FAIL'}")
-    with open(run_dir / "envelope_report.txt", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        click.echo(line)
-    sys.exit(0 if ok else 1)
+    _report(run_dir / "envelope_report.txt", lines, ok)
 
 
 @main.command(name="reproduce-fig2")
@@ -179,8 +173,7 @@ def reproduce_fig2(config, trials, seed, dt, out):
     """State-norm growth report for the leaderless counterexample; exit 0 iff
     some agent's tail-mean norm exceeds its head-mean norm."""
     scen = _resolve_scenario(config, "fig2", trials, seed, dt)
-    run_dir = _out_dir(out, "reproduce-fig2", scen)
-    _write_manifest(run_dir, "reproduce-fig2", scen)
+    run_dir = _run_dir(out, "reproduce-fig2", scen)
     traj = simulate_full(scen, scen.base_seed)
     trajectory_to_csv(traj, run_dir / "trajectory.csv")
     t = traj.times
@@ -205,11 +198,7 @@ def reproduce_fig2(config, trials, seed, dt, out):
     )
     ok = bool(grew.any())
     lines.append(f"growth_witness: {'pass' if ok else 'FAIL'}")
-    with open(run_dir / "growth_report.txt", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        click.echo(line)
-    sys.exit(0 if ok else 1)
+    _report(run_dir / "growth_report.txt", lines, ok)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import eigenvalues
+from .matrices import eigenvalues, frozen_copy
 
 
 class GainError(ValueError):
@@ -35,12 +35,6 @@ class NonPositiveParamError(GainError):
 
 class NonPositiveSpectrumError(GainError):
     """The diagonally-scaled follower Laplacian has an eigenvalue with Re <= 0."""
-
-
-def _frozen(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -116,8 +110,8 @@ def make_profile(params, beta: float, agent_ids=None) -> GainProfile:
     k = mu * scale ** (-beta)
     c = k / k.max()
     return GainProfile(
-        agent_ids=agent_ids, mu=_frozen(mu), scale=_frozen(scale), shift=_frozen(shift),
-        beta=beta, k=_frozen(k), c=_frozen(c), mu1=float(k.min()),
+        agent_ids=agent_ids, mu=frozen_copy(mu), scale=frozen_copy(scale), shift=frozen_copy(shift),
+        beta=beta, k=frozen_copy(k), c=frozen_copy(c), mu1=float(k.min()),
     )
 
 

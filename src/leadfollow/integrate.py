@@ -10,23 +10,24 @@ length h is the exact matrix map y <- R y with
     K1 = M0,  K2 = Mh (I + h/2 K1),  K3 = Mh (I + h/2 K2),  K4 = M1 (I + h K3),
 
 where M0, Mh and M1 are M at the start, midpoint and end of the step.  The
-maps of BLOCK_STEPS steps are built at once with stacked matmuls.  The steps
-are grouped in sub-blocks of W, aligned to multiples of W from the grid's
-first step, and the maps inside every sub-block of a block are prefix-composed
-together, W - 1 stacked matmuls in all.  Each sub-block's start state then
-needs one matmul in Python, and the wanted states come from their sub-block's
-start state in one more stacked matmul, so a block of 256 steps costs about 31
-Python turns instead of 256.  A block that ends inside a sub-block carries its
-partial product into the next, so every state is the same product of the same
-maps, and results do not depend on BLOCK_STEPS.
+steps are grouped in sub-blocks of W, aligned to multiples of W from the
+grid's first step, and a block is SUBS whole sub-blocks; only the grid's last
+sub-block is padded, with identity maps.  The maps of a block are built at
+once with stacked matmuls, and the maps inside every sub-block of a block are
+prefix-composed together, W - 1 stacked matmuls in all.  Each sub-block's
+start state then needs one matmul in Python, and the wanted states come from
+their sub-block's start state in one more stacked matmul, so a block of 256
+steps costs about 31 Python turns instead of 256.  Every state is the same
+product of the same maps whatever the block length, so results do not depend
+on SUBS.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BLOCK_STEPS = 256
 W = 16  # steps per sub-block
+SUBS = 16  # sub-blocks per block
 
 
 def _rk4_maps(M0, Mh, M1, h) -> np.ndarray:
@@ -43,17 +44,13 @@ def _rk4_maps(M0, Mh, M1, h) -> np.ndarray:
     return acc
 
 
-def _on_sub_blocks(maps, off: int, carry, fill) -> np.ndarray:
+def _on_sub_blocks(maps, fill) -> np.ndarray:
     """The block's ``maps`` (nb, d, d) laid out on whole sub-blocks
-    (n_sub, W, d, d) from position ``off``, with ``carry`` (the partial product
-    of the sub-block the block starts inside, if any) just before them and
-    ``fill`` everywhere else."""
-    end = off + maps.shape[0]
-    out = np.empty((-(-end // W) * W,) + maps.shape[1:])
-    out[...] = fill
-    out[off:end] = maps
-    if off:
-        out[off - 1] = carry
+    (n_sub, W, d, d), the last one padded with ``fill``."""
+    nb = maps.shape[0]
+    out = np.empty((-(-nb // W) * W,) + maps.shape[1:])
+    out[:nb] = maps
+    out[nb:] = fill
     return out.reshape((-1, W) + maps.shape[1:])
 
 
@@ -66,7 +63,8 @@ def rk4_path(M, y0, u, t, slot, noise=None):
     (d, r) matrix.  A complex system goes in its real form; a complex y0 or M
     raises TypeError.  The state at grid point k (y0 at k = 0) is stored as
     sample ``slot[k]`` unless that is -1.  Returns the samples stacked along
-    axis 0.
+    axis 0.  The steps go in blocks of SUBS whole sub-blocks of W steps, and
+    the samples do not depend on SUBS.
 
     With ``noise``, the path is the mean and covariance of the linear SDE
     dy = M(u) y dt + G(u) dW from covariance 0, where ``noise`` maps stacked
@@ -102,26 +100,22 @@ def rk4_path(M, y0, u, t, slot, noise=None):
         states[slot[0]] = y
         if noise is not None:
             covs[slot[0]] = P
-    # The partial products of the sub-block the next block starts inside;
-    # y and P stay at that sub-block's start.
-    carry_R = carry_S = None
-    for k0 in range(0, h.size, BLOCK_STEPS):
-        k1 = min(k0 + BLOCK_STEPS, h.size)
+    for k0 in range(0, h.size, SUBS * W):
+        k1 = min(k0 + SUBS * W, h.size)
         ub = u(points[q * k0:q * k1 + 1])
         Ms = M(ub)
         if np.iscomplexobj(Ms):
             raise TypeError("rk4_path is real-only: M returned complex matrices")
         hb = h[k0:k1, None, None]
-        off, end = k0 % W, k0 % W + k1 - k0
         R = _rk4_maps(Ms[:-1:q], Ms[q // 2::q], Ms[q::q], hb)
-        Rs = _on_sub_blocks(R, off, carry_R, eye)
+        Rs = _on_sub_blocks(R, eye)
         if noise is not None:
             G = noise(ub[::2])
             R_half = _rk4_maps(Ms[2::4], Ms[3::4], Ms[4::4], 0.5 * hb)
             V = np.concatenate([np.sqrt(hb / 6.0) * (R @ G[:-1:2]),
                                 np.sqrt(2.0 * hb / 3.0) * (R_half @ G[1::2]),
                                 np.sqrt(hb / 6.0) * G[2::2]], axis=-1)
-            Ss = _on_sub_blocks(V @ V.swapaxes(-1, -2), off, carry_S, 0.0)
+            Ss = _on_sub_blocks(V @ V.swapaxes(-1, -2), 0.0)
         # Prefix products inside every sub-block at once: position j then maps
         # its sub-block's start state to the state after step j.
         for j in range(1, W):
@@ -135,21 +129,16 @@ def rk4_path(M, y0, u, t, slot, noise=None):
             starts[s] = y
             if noise is not None:
                 P_starts[s] = P
-            if s + 1 < n_sub or end % W == 0:
-                y = Rs[s, -1] @ y
-                if noise is not None:
-                    P = Rs[s, -1] @ P @ Rs[s, -1].T + Ss[s, -1]
-        carry_R = Rs[-1, end % W - 1]
-        if noise is not None:
-            carry_S = Ss[-1, end % W - 1]
+            y = Rs[s, -1] @ y
+            if noise is not None:
+                P = Rs[s, -1] @ P @ Rs[s, -1].T + Ss[s, -1]
         # The wanted states, each from its sub-block's start state.
         sl = slot[k0 + 1:k1 + 1]
         keep = np.flatnonzero(sl >= 0)
-        pos = off + keep
-        Rw = Rs.reshape((-1, d, d))[pos]
-        states[sl[keep]] = Rw @ starts[pos // W]
+        Rw = Rs.reshape((-1, d, d))[keep]
+        states[sl[keep]] = Rw @ starts[keep // W]
         if noise is not None:
-            covs[sl[keep]] = (Rw @ P_starts[pos // W] @ Rw.swapaxes(-1, -2)
-                              + Ss.reshape((-1, d, d))[pos])
+            covs[sl[keep]] = (Rw @ P_starts[keep // W] @ Rw.swapaxes(-1, -2)
+                              + Ss.reshape((-1, d, d))[keep])
     states = states.reshape((count,) + shape)
     return states if noise is None else (states, covs)

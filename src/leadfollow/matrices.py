@@ -27,6 +27,13 @@ class Spectrum:
     min_real_part: float     # over all of them
 
 
+def frozen_copy(a) -> np.ndarray:
+    """A read-only float copy of ``a``, so no later write to ``a`` reaches it."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 def eigenvalues(m) -> Spectrum:
     """Eigenvalues of a square real matrix, or of each matrix of a stack
     (..., d, d), together with the smallest real part."""

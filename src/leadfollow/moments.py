@@ -46,6 +46,9 @@ from .sde import noise_channels
 from .series import MomentSeries
 
 PSD_HARD_TOL = -1e-6
+# oracle_rate_check's bounds on mse * t^beta over the tail: max/min, |log-log slope|.
+RATE_SPREAD_MAX = 10.0
+RATE_SLOPE_TOL = 0.15
 # h_max times the fastest rate at t = 0; 0.03 gives h_max = 0.01 on fig1.
 STEP_SCALE = 0.03
 
@@ -106,14 +109,12 @@ def _mse(mean_err, P):
     return (mean_err ** 2).sum(axis=2) + np.einsum("sii->si", P).reshape(S, N, n).sum(axis=2)
 
 
-def evolve_moments(scen, return_cov: bool = False):
+def evolve_moments(scen) -> MomentSeries:
     """Integrate the moment ODEs and sample them at the scenario's sample times.
 
-    Returns a MomentSeries with provenance "oracle" and its ``step_error``;
-    with ``return_cov`` the full covariance at the sample times is returned as
-    a second value.  The positive-semidefiniteness check comes from the
-    samples alone; NonPSDError names the earliest sample whose covariance
-    fails it.
+    Returns a MomentSeries with provenance "oracle" and its ``step_error``.
+    The positive-semidefiniteness check comes from the samples alone;
+    NonPSDError names the earliest sample whose covariance fails it.
     """
     if scen.leaderless:
         raise ValueError("moment oracle requires a leader-following scenario")
@@ -129,11 +130,10 @@ def evolve_moments(scen, return_cov: bool = False):
     gap = np.abs(mse - _mse(*_propagate(scen, 2.0 * h_max)))
     step_error = float(np.divide(gap, 15.0 * mse, out=np.zeros_like(gap), where=gap > 0).max())
 
-    series = MomentSeries(
+    return MomentSeries(
         times=scen.sample_times, follower_ids=tuple(scen.graph.follower_indices),
         mean_err=mean_err, mse=mse, halfwidth=None, provenance="oracle", step_error=step_error,
     )
-    return (series, P) if return_cov else series
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,7 @@ class InsufficientSpanError(ValueError):
 
 
 def oracle_rate_check(series: MomentSeries, profile, constants,
-                      tail: tuple[float, float] | None = None,
-                      spread_max: float = 10.0, slope_tol: float = 0.15) -> RateReport:
+                      tail: tuple[float, float] | None = None) -> RateReport:
     """Boundedness witnesses for the mean-square and mean decay rates.
 
     These are finite-horizon surrogates: they certify the absence of a growth
@@ -187,7 +186,7 @@ def oracle_rate_check(series: MomentSeries, profile, constants,
     mean_norm = np.linalg.norm(series.mean_err[mask], axis=2)
     with np.errstate(divide="ignore"):
         mean_log = np.log(mean_norm) + constants.mean_exp_coeff * tt[:, None] ** (1.0 - beta)
-    bounded = (spread <= spread_max) & (np.abs(slope) <= slope_tol)
+    bounded = (spread <= RATE_SPREAD_MAX) & (np.abs(slope) <= RATE_SLOPE_TOL)
     return RateReport(
         follower_ids=series.follower_ids, tail_window=tail, beta=beta,
         ms_witness_sup=sup, ms_witness_spread=spread, ms_witness_slope=slope,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import DegenerateRowError, companion, is_hurwitz
+from .matrices import DegenerateRowError, companion, frozen_copy, is_hurwitz
 
 IDENTITY_TOL = 1e-12
 
@@ -37,12 +37,6 @@ class DimensionMismatchError(PlantError):
 
 class NotHurwitzError(PlantError):
     pass
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -89,8 +83,8 @@ def closed_loop_drift(plant: PlantModel, L) -> ClosedLoopDrift:
     last = np.arange(M) * n + (n - 1)
     last.setflags(write=False)
     return ClosedLoopDrift(
-        base=_frozen(np.kron(np.eye(M), plant.closed_loop_A)),
-        coupling=_frozen(np.kron(L, plant.K2)), last=last,
+        base=frozen_copy(np.kron(np.eye(M), plant.closed_loop_A)),
+        coupling=frozen_copy(np.kron(L, plant.K2)), last=last,
     )
 
 
@@ -134,8 +128,8 @@ def build_plant(alpha, b) -> PlantModel:
             f"controller identities violated: |K2(A+BK1)|={resid1:.3e}, |K2BK2-K2|={resid2:.3e}"
         )
     return PlantModel(
-        n=n, alpha=_frozen(alpha), b=_frozen(b), A=_frozen(A), B=_frozen(B),
-        K1=_frozen(K1), K2=_frozen(K2),
+        n=n, alpha=frozen_copy(alpha), b=frozen_copy(b), A=frozen_copy(A), B=frozen_copy(B),
+        K1=frozen_copy(K1), K2=frozen_copy(K2),
     )
 
 

@@ -99,7 +99,7 @@ class SimScenario:
         return plant_mod.closed_loop_drift(self.plant, L)
 
     def with_overrides(self, dt=None, t_end=None, trials=None, base_seed=None,
-                       sample_times=None, rho=None) -> "SimScenario":
+                       sample_times=None) -> "SimScenario":
         """Rebuild the scenario with a few integration/Monte Carlo fields replaced."""
         raw = json.loads(self.raw_json)
         if dt is not None:
@@ -118,8 +118,6 @@ class SimScenario:
                 mc["base_seed"] = base_seed
         if sample_times is not None:
             raw["integration"]["sample_times"] = list(np.asarray(sample_times, dtype=float))
-        if rho is not None:
-            raw["noise"] = {"rho": rho}
         return scenario_from_dict(raw)
 
     raw_json: str = field(default="", compare=False)

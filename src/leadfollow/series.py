@@ -60,28 +60,24 @@ class MomentSeries:
 
 
 def from_csv(path) -> MomentSeries:
-    """Inverse of MomentSeries.to_csv."""
+    """Inverse of MomentSeries.to_csv.  The rows must form the grid it writes,
+    time-major: the same followers in the same order at each of the
+    increasing sample times.  Anything else raises ValueError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
     has_hw = header[-1] == "mse_halfwidth"
     n = len(header) - (4 if has_hw else 3)
-    data = np.array([[float(v) for v in r] for r in rows])
-    times = np.unique(data[:, 0])
-    fids = tuple(int(v) for v in np.unique(data[:, 1]))
-    S, N = times.size, len(fids)
-    mean_err = np.empty((S, N, n))
-    mse = np.empty((S, N))
-    hw = np.empty((S, N)) if has_hw else None
-    t_index = {t: s for s, t in enumerate(times)}
-    f_index = {f: k for k, f in enumerate(fids)}
-    for r in data:
-        s, f = t_index[r[0]], f_index[int(r[1])]
-        mean_err[s, f] = r[2:2 + n]
-        mse[s, f] = r[2 + n]
-        if has_hw:
-            hw[s, f] = r[3 + n]
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    N = int(np.count_nonzero(data[:, 0] == data[:1, 0]))
+    if not N or data.shape[0] % N:
+        raise ValueError(f"{path}: {data.shape[0]} rows do not fill a grid of {N} followers")
+    grid = data.reshape(-1, N, data.shape[1])
+    times, fids = grid[:, 0, 0], grid[0, :, 1]
+    if (np.any(grid[:, :, 0] != times[:, None]) or np.any(grid[:, :, 1] != fids)
+            or np.any(np.diff(times) <= 0)):
+        raise ValueError(f"{path}: rows are not a time-major grid of increasing times")
     return MomentSeries(
-        times=times, follower_ids=fids, mean_err=mean_err, mse=mse,
-        halfwidth=hw, provenance="monte_carlo" if has_hw else "oracle", step_error=None,
+        times=times, follower_ids=tuple(int(f) for f in fids), mean_err=grid[:, :, 2:2 + n],
+        mse=grid[:, :, 2 + n], halfwidth=grid[:, :, 3 + n] if has_hw else None,
+        provenance="monte_carlo" if has_hw else "oracle", step_error=None,
     )

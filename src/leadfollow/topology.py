@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrices import frozen_copy
+
 
 class GraphError(ValueError):
     """Base class for digraph validation failures."""
@@ -31,12 +33,6 @@ class SelfLoopError(GraphError):
 
 class LeaderHasNeighborsError(GraphError):
     pass
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,7 @@ class LaplacianPartition:
     L2: np.ndarray    # (N, N): follower rows, follower columns
 
 
-def build_digraph(weights, leader_index: int = 0, allow_leader_neighbors: bool = False) -> Digraph:
+def build_digraph(weights, leader_index: int, allow_leader_neighbors: bool = False) -> Digraph:
     """Validate a weight matrix and wrap it as a Digraph.
 
     ``allow_leader_neighbors`` skips the empty-leader-row check; it is meant for
@@ -95,7 +91,7 @@ def build_digraph(weights, leader_index: int = 0, allow_leader_neighbors: bool =
         raise LeaderHasNeighborsError(
             f"leader node {leader_index} has an incoming edge from node {j}"
         )
-    return Digraph(weights=_frozen(w), leader_index=leader_index)
+    return Digraph(weights=frozen_copy(w), leader_index=leader_index)
 
 
 def laplacian(weights: np.ndarray) -> np.ndarray:
@@ -110,33 +106,20 @@ def laplacian_partition(g: Digraph) -> LaplacianPartition:
     fol = g.follower_indices
     L1 = full[np.ix_(fol, [g.leader_index])]
     L2 = full[np.ix_(fol, fol)]
-    return LaplacianPartition(full=_frozen(full), L1=_frozen(L1), L2=_frozen(L2))
-
-
-def _reachable_from(w: np.ndarray, root: int) -> np.ndarray:
-    """Breadth-first reachability along directed edges (j -> i iff w[i, j] > 0)."""
-    n = w.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[root] = True
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for j in frontier:
-            for i in np.nonzero(w[:, j] > 0)[0]:
-                if not seen[i]:
-                    seen[i] = True
-                    nxt.append(int(i))
-        frontier = nxt
-    return seen
+    return LaplacianPartition(full=frozen_copy(full), L1=frozen_copy(L1), L2=frozen_copy(L2))
 
 
 def has_spanning_tree(g: Digraph) -> bool:
-    """True iff some node reaches every other node along directed edges."""
-    w = g.weights
-    for root in range(g.node_count):
-        if _reachable_from(w, root).all():
-            return True
-    return False
+    """True iff some node reaches every other node along directed edges.
+
+    reach[j, i] > 0 iff j reaches i along at most 2^k edges after k squarings
+    of (W^T > 0) | I (edge j -> i iff w[i, j] > 0); ceil(log2 n) squarings
+    cover every path of n - 1 edges.  Clipping at 1 keeps every entry 0 or 1."""
+    n = g.node_count
+    reach = ((g.weights.T > 0) | np.eye(n, dtype=bool)).astype(float)
+    for _ in range((n - 1).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    return bool((reach > 0).all(axis=1).any())
 
 
 def random_spanning_tree_digraph(node_count: int, rng: np.random.Generator) -> Digraph:

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import leadfollow as lf
 from leadfollow import moments
+from leadfollow.scenario import scenario_from_dict
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +42,13 @@ def fig1_mc(fig1_mc_timed):
 @pytest.fixture(scope="session")
 def fig1_constants(fig1):
     return lf.rate_constants(fig1.profile, fig1.lap.L2)
+
+
+def noiseless(scen, **overrides):
+    """``scen.with_overrides(**overrides)`` with every noise intensity rho 0."""
+    raw = json.loads(scen.with_overrides(**overrides).raw_json)
+    raw["noise"] = {"rho": 0.0}
+    return scenario_from_dict(raw)
 
 
 def dense_drift(plant, L, a):

@@ -79,9 +79,10 @@ def test_rk4_path_matches_reference_across_blocks(monkeypatch):
                         u, dt, slot)
     assert np.array_equal(y[:, 2], np.ones(13))
     assert np.abs(y[:, :2] - ref).max() <= 1e-13
-    assert integrate.BLOCK_STEPS == 256
-    monkeypatch.setattr(integrate, "BLOCK_STEPS", 7)
-    assert np.array_equal(rk4_path(M, [1.0, -1.0, 1.0], np.sin, t, slot), y)
+    assert integrate.SUBS == 16
+    for subs in (1, 3, 7):
+        monkeypatch.setattr(integrate, "SUBS", subs)
+        assert np.array_equal(rk4_path(M, [1.0, -1.0, 1.0], np.sin, t, slot), y)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
@@ -117,11 +118,12 @@ def _jittered_grid(steps, seed):
     return t
 
 
-@pytest.mark.parametrize("block_steps", [1, 7, 15, 16, 17, 100])
-def test_rk4_path_independent_of_block_steps(monkeypatch, block_steps):
-    """Blocks that start and end inside a sub-block carry its partial
-    products, so both branches give the same bits at any block length, on a
-    grid whose step count (601) is not a multiple of the sub-block length."""
+@pytest.mark.parametrize("subs", [1, 2, 3, 7, 15, 16, 17, 40])
+def test_rk4_path_independent_of_block_steps(monkeypatch, subs):
+    """Both branches give the same bits at any number of sub-blocks per
+    block, on a grid whose step count (601) is not a multiple of the
+    sub-block length, so its last block ends inside a sub-block; at the
+    default (16) two runs give the same bits."""
     t = _jittered_grid(601, 7)
     slot = _slots(t.size, [0, 5, 15, 16, 17, 250, 256, 257, 600, 601])
 
@@ -132,7 +134,7 @@ def test_rk4_path_independent_of_block_steps(monkeypatch, block_steps):
         return path, m, P
 
     expected = run()
-    monkeypatch.setattr(integrate, "BLOCK_STEPS", block_steps)
+    monkeypatch.setattr(integrate, "SUBS", subs)
     for got, want in zip(run(), expected):
         assert np.array_equal(got, want)
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from leadfollow.gains import make_profile
 from leadfollow.matrices import (
     MAX_DIM, DegenerateRowError, companion, eigenvalues, is_hurwitz,
 )
+from leadfollow.plant import build_plant
 from leadfollow.topology import build_digraph, laplacian_partition
 
 from conftest import fig1_weights
@@ -93,3 +95,25 @@ def test_hurwitz_agrees_with_companion_spectrum():
         checked += 1
         stable_count += verdict
     assert 0 < stable_count < 100
+
+
+def test_constructors_copy_caller_arrays():
+    """build_plant, make_profile and build_digraph keep read-only copies:
+    the caller's float arrays stay writable, and writing to them afterwards
+    changes nothing in the built objects."""
+    alpha, b = np.array([0.0, 0.0, 1.0]), np.array([2.0, 3.0])
+    triples = np.array([[1.5, 1.0, 1.0], [0.8, 2.0, 0.5]])
+    weights = np.array([[0.0, 0.0], [1.0, 0.0]])
+    p = build_plant(alpha, b)
+    profile = make_profile(triples, 0.4)
+    g = build_digraph(weights, 0)
+    gain = profile.gain_all(1.0)
+    for a in (alpha, b, triples, weights):
+        assert a.flags.writeable
+    for a, built in ((alpha, p.alpha), (b, p.b), (weights, g.weights)):
+        assert not built.flags.writeable and not np.shares_memory(a, built)
+    alpha[0], b[0], triples[0, 0], weights[1, 0] = 5.0, 5.0, 5.0, 5.0
+    assert np.array_equal(p.alpha, [0.0, 0.0, 1.0]) and np.array_equal(p.b, [2.0, 3.0])
+    assert np.array_equal(profile.mu, [1.5, 0.8])
+    assert np.array_equal(profile.gain_all(1.0), gain)
+    assert g.weights[1, 0] == 1.0

@@ -11,15 +11,20 @@ from leadfollow.scenario import scenario_from_dict
 from leadfollow.verify import oracle_deviation_sigmas
 from leadfollow import integrate, moments, sde
 
-from conftest import dense_drift, reference_moments
+from conftest import dense_drift, noiseless, reference_moments
+
+
+def _moments(scen):
+    """The oracle's mean errors and covariances at the sample times."""
+    return moments._propagate(scen, moments.max_step(scen))
 
 
 def test_zero_noise_covariance_and_mean(fig1):
     """Without diffusion the covariance stays zero and the mean must agree with
     an independent adaptive ODE solve of the error system."""
     st = np.linspace(0.0, 10.0, 11)
-    scen = fig1.with_overrides(t_end=10.0, rho=0.0, sample_times=st)
-    series, cov = lf.evolve_moments(scen, return_cov=True)
+    scen = noiseless(fig1, t_end=10.0, sample_times=st)
+    mean_err, cov = _moments(scen)
     assert np.abs(cov).max() == 0.0
 
     m0 = (scen.init_states[1:] - scen.init_states[0]).reshape(-1)
@@ -27,7 +32,7 @@ def test_zero_noise_covariance_and_mean(fig1):
         lambda t, m: dense_drift(scen.plant, scen.lap.L2, scen.profile.gain_all(t)) @ m,
         (0.0, 10.0), m0, t_eval=st, rtol=1e-11, atol=1e-12,
     )
-    assert np.abs(series.mean_err.reshape(st.size, -1) - sol.y.T).max() <= 1e-8
+    assert np.abs(mean_err.reshape(st.size, -1) - sol.y.T).max() <= 1e-8
 
 
 def test_zero_initial_error_mean_stays_zero(fig1):
@@ -59,14 +64,15 @@ def test_oracle_matches_reference_rk4(fig1, monkeypatch):
 
 def test_oracle_invariant_to_block_steps(fig1, monkeypatch):
     scen = fig1.with_overrides(t_end=3.0, sample_times=np.linspace(0.0, 3.0, 7))
-    series, cov = lf.evolve_moments(scen, return_cov=True)
-    assert integrate.BLOCK_STEPS == 256
-    monkeypatch.setattr(integrate, "BLOCK_STEPS", 37)
-    again, cov_again = lf.evolve_moments(scen, return_cov=True)
-    assert np.array_equal(again.mse, series.mse)
-    assert np.array_equal(again.mean_err, series.mean_err)
-    assert np.array_equal(cov_again, cov)
-    assert again.step_error == series.step_error
+    series, cov = lf.evolve_moments(scen), _moments(scen)[1]
+    assert integrate.SUBS == 16
+    for subs in (1, 3, 7):
+        monkeypatch.setattr(integrate, "SUBS", subs)
+        again, cov_again = lf.evolve_moments(scen), _moments(scen)[1]
+        assert np.array_equal(again.mse, series.mse)
+        assert np.array_equal(again.mean_err, series.mean_err)
+        assert np.array_equal(cov_again, cov)
+        assert again.step_error == series.step_error
 
 
 def test_oracle_independent_of_sde_step(fig1):
@@ -76,8 +82,8 @@ def test_oracle_independent_of_sde_step(fig1):
     coarse = fig1.with_overrides(t_end=3.0, dt=1e-3, sample_times=st)
     fine = coarse.with_overrides(dt=5e-4)
     assert np.array_equal(coarse.sample_times, fine.sample_times)
-    a, cov_a = lf.evolve_moments(coarse, return_cov=True)
-    b, cov_b = lf.evolve_moments(fine, return_cov=True)
+    a, cov_a = lf.evolve_moments(coarse), _moments(coarse)[1]
+    b, cov_b = lf.evolve_moments(fine), _moments(fine)[1]
     assert np.array_equal(a.mse, b.mse)
     assert np.array_equal(a.mean_err, b.mean_err)
     assert np.array_equal(cov_a, cov_b)
@@ -120,9 +126,9 @@ def test_oracle_step_halving_error(fig1, monkeypatch):
     runs = []
     for factor in (4.0, 2.0, 1.0, 0.25):
         monkeypatch.setattr(moments, "STEP_SCALE", 0.03 * factor)
-        runs.append(lf.evolve_moments(scen, return_cov=True))
-    ref = runs[-1][0].mse
-    errors = [np.abs(series.mse - ref).max() / ref.max() for series, _ in runs[:-1]]
+        runs.append(_moments(scen))
+    ref = moments._mse(*runs[-1])
+    errors = [np.abs(moments._mse(*run) - ref).max() / ref.max() for run in runs[:-1]]
     assert errors[0] / errors[1] >= 12.0
     assert errors[1] / errors[2] >= 12.0
     for _, cov in runs:
@@ -151,7 +157,7 @@ def test_monte_carlo_agrees_at_spot_times(fig1, fig1_mc, fig1_oracle):
 
 def test_covariance_symmetric_psd(fig1):
     scen = fig1.with_overrides(t_end=10.0, sample_times=np.linspace(0.0, 10.0, 21))
-    _, cov = lf.evolve_moments(scen, return_cov=True)
+    _, cov = _moments(scen)
     for P in cov:
         assert np.abs(P - P.T).max() <= 1e-10
         assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() >= -1e-8
@@ -161,7 +167,7 @@ def test_oracle_mean_matches_noiseless_path(fig1):
     """The path simulator converges at first order; the dt-halving Richardson
     extrapolation of its noiseless run lands on the oracle mean."""
     st = np.linspace(0.0, 10.0, 21)
-    coarse = fig1.with_overrides(t_end=10.0, rho=0.0, dt=1e-3, sample_times=st)
+    coarse = noiseless(fig1, t_end=10.0, dt=1e-3, sample_times=st)
     fine = coarse.with_overrides(dt=5e-4)
     e1 = lf.simulate_full(coarse, 3).states
     e2 = lf.simulate_full(fine, 3).states
@@ -176,7 +182,7 @@ def test_reduced_space_second_moment_consistency(fig1):
     reduced-path Monte Carlo estimate of ||Xhat||^2 within 3 standard errors."""
     scen = fig1.with_overrides(t_end=20.0, trials=300, base_seed=9,
                                sample_times=[5.0, 10.0, 20.0])
-    series, cov = lf.evolve_moments(scen, return_cov=True)
+    mean_err, cov = _moments(scen)
     K2 = scen.plant.K2[0]
     IK = np.kron(np.eye(4), K2.reshape(1, 4))
     paths = sde._run_reduced(scen, scen.base_seed, scen.trials)
@@ -184,7 +190,7 @@ def test_reduced_space_second_moment_consistency(fig1):
     mc = sq.mean(axis=0)
     se = sq.std(axis=0, ddof=1) / np.sqrt(scen.trials)
     for s in range(paths.shape[1]):
-        proj = series.mean_err[s] @ K2
+        proj = mean_err[s] @ K2
         exact = np.trace(IK @ cov[s] @ IK.T) + proj @ proj
         assert abs(mc[s] - exact) <= 3.0 * se[s]
 
@@ -198,7 +204,7 @@ def test_rate_check_reference_series(fig1, fig1_oracle, fig1_constants):
 
 
 def test_rate_check_zero_noise_mean_witness(fig1, fig1_constants):
-    scen = fig1.with_overrides(rho=0.0)
+    scen = noiseless(fig1)
     series = lf.evolve_moments(scen)
     rep = lf.oracle_rate_check(series, fig1.profile, fig1_constants)
     assert np.all(np.isfinite(rep.mean_witness_log))

@@ -12,7 +12,7 @@ from leadfollow import integrate
 from leadfollow.matrices import companion
 from leadfollow.series import MomentSeries
 
-from conftest import rk4_reference
+from conftest import noiseless, rk4_reference
 
 
 def _synthetic_series(times, mse):
@@ -30,8 +30,7 @@ def test_monte_carlo_preconditions(fig1):
 
 
 def test_monte_carlo_zero_noise(fig1):
-    scen = fig1.with_overrides(t_end=5.0, rho=0.0, trials=5,
-                               sample_times=[0.0, 5.0])
+    scen = noiseless(fig1, t_end=5.0, trials=5, sample_times=[0.0, 5.0])
     mc = lf.monte_carlo_moments(scen)
     assert np.abs(mc.halfwidth).max() <= 1e-12
     det = lf.simulate_full(scen, scen.base_seed)
@@ -138,8 +137,9 @@ def test_jordan_ode_matches_reference_rk4(monkeypatch):
     ref = rk4_reference(lambda a, y: -a * (J @ y), np.eye(r, dtype=complex), gain(halves), h,
                         np.arange(grid.size))
     assert np.abs(ode - ref).max() <= 1e-12
-    monkeypatch.setattr(integrate, "BLOCK_STEPS", 100)
-    assert np.array_equal(jordan_transition_ode(lam, gain, r, grid), ode)
+    for subs in (1, 3, 7):
+        monkeypatch.setattr(integrate, "SUBS", subs)
+        assert np.array_equal(jordan_transition_ode(lam, gain, r, grid), ode)
 
 
 @pytest.mark.parametrize("lam, r", [(0.8 - 0.6j, 1), (1.3, 1), (0.9, 3)])
@@ -245,8 +245,9 @@ def test_filter_matches_reference_rk4(fig1, monkeypatch):
     ref = rk4_reference(lambda u, y: comp @ y + [0.0, 0.0, u], init, stages, 0.005,
                         np.arange(t.size))
     assert np.abs(states[:, :3] - ref).max() <= 1e-12 * np.abs(ref).max()
-    monkeypatch.setattr(integrate, "BLOCK_STEPS", 100)
-    assert np.array_equal(lf.filter_response(b, t, drive, init)[1], states)
+    for subs in (1, 3, 7):
+        monkeypatch.setattr(integrate, "SUBS", subs)
+        assert np.array_equal(lf.filter_response(b, t, drive, init)[1], states)
 
 
 def test_filter_nonuniform_grid_matches_exact_constant_drive(fig1):

@@ -394,3 +394,34 @@ def test_moment_series_csv_roundtrip(fig1, tmp_path):
     assert np.array_equal(back.times, mc.times)
     assert np.array_equal(back.mse, mc.mse)
     assert np.array_equal(back.mean_err, mc.mean_err)
+
+
+def _oracle_csv_lines(fig1, tmp_path):
+    scen = fig1.with_overrides(t_end=2.0, sample_times=[0.5, 1.0, 2.0])
+    path = tmp_path / "series.csv"
+    lf.evolve_moments(scen).to_csv(path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+def test_moment_series_csv_truncated_rejected(fig1, tmp_path):
+    """A file cut short by its last row, or down to its header, leaves the
+    grid incomplete; reading it raises instead of returning unfilled values."""
+    path, lines = _oracle_csv_lines(fig1, tmp_path)
+    assert len(lines) == 1 + 3 * 4
+    for kept in (lines[:-1], lines[:1]):
+        path.write_text("\n".join(kept) + "\n")
+        with pytest.raises(ValueError, match="grid"):
+            from_csv(path)
+
+
+def test_moment_series_csv_reordered_rejected(fig1, tmp_path):
+    """Rows sorted follower-major, or two samples' rows swapped, do not form
+    the time-major grid that to_csv writes."""
+    path, lines = _oracle_csv_lines(fig1, tmp_path)
+    rows = lines[1:]
+    for reordered in (rows[0::4] + rows[1::4] + rows[2::4] + rows[3::4],
+                      rows[4:8] + rows[0:4] + rows[8:]):
+        path.write_text("\n".join([lines[0]] + reordered) + "\n")
+        with pytest.raises(ValueError, match="grid"):
+            from_csv(path)

@@ -10,13 +10,13 @@ import leadfollow as lf
 from leadfollow import sde, verify
 from leadfollow.scenario import scenario_from_dict
 
-from conftest import dense_noise_routing
+from conftest import dense_noise_routing, noiseless
 
 
 def test_noiseless_consensus(fig1):
     """With all noise intensities zero the protocol drives every follower to
     the leader within the horizon."""
-    scen = fig1.with_overrides(t_end=50.0, rho=0.0, sample_times=[0.0, 50.0])
+    scen = noiseless(fig1, t_end=50.0, sample_times=[0.0, 50.0])
     traj = lf.simulate_full(scen, 1)
     err = np.linalg.norm(traj.states[-1, 1:] - traj.states[-1, 0], axis=1)
     assert err.max() < 1e-2
@@ -57,9 +57,9 @@ def test_reduced_matches_oracle_mean_without_noise(fig1):
     """rho = 0 turns the reduced SDE into an ODE; a refined Euler run must land
     on the exact mean."""
     st = np.linspace(0.0, 10.0, 21)
-    fine = fig1.with_overrides(t_end=10.0, rho=0.0, dt=5e-5, sample_times=st)
+    fine = noiseless(fig1, t_end=10.0, dt=5e-5, sample_times=st)
     red = lf.simulate_reduced(fine, 5)
-    oracle = lf.evolve_moments(fig1.with_overrides(t_end=10.0, rho=0.0, sample_times=st))
+    oracle = lf.evolve_moments(noiseless(fig1, t_end=10.0, sample_times=st))
     K2 = fig1.plant.K2[0]
     assert np.abs(red.states - oracle.mean_err @ K2).max() <= 1e-4
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import breadth_first_order
 
 from leadfollow.matrices import eigenvalues
 from leadfollow.topology import (
@@ -90,6 +91,24 @@ def test_spanning_tree_detection():
     w = np.zeros((2, 2))
     w[1, 0] = 1.0
     assert has_spanning_tree(build_digraph(w, 0))
+
+
+def test_spanning_tree_detection_matches_scipy_search():
+    """On random digraphs of 2-65 nodes, sparse enough that about half lack a
+    spanning tree, the reachability closure agrees with a breadth-first
+    search from every node (csgraph edge a -> b is w[b, a] > 0)."""
+    rng = np.random.default_rng(3)
+    verdicts = []
+    for _ in range(300):
+        n = int(rng.integers(2, 66))
+        w = np.where(rng.random((n, n)) < rng.uniform(0.0, 2.0 * np.log(n) / n), 1.0, 0.0)
+        np.fill_diagonal(w, 0.0)
+        g = build_digraph(w, 0, allow_leader_neighbors=True)
+        expected = any(breadth_first_order(w.T, root, return_predecessors=False).size == n
+                       for root in range(n))
+        assert has_spanning_tree(g) == expected
+        verdicts.append(expected)
+    assert 0.3 <= np.mean(verdicts) <= 0.7
 
 
 def test_random_laplacians_row_sums():
