@@ -8,7 +8,7 @@ from .matrices import Spectrum, eigenvalues, is_hurwitz
 from .plant import PlantModel, build_plant, leader_closed_loop
 from .gains import GainProfile, RateConstants, make_profile, rate_constants
 from .sde import NoiseModel, Trajectory, simulate_full, simulate_reduced
-from .moments import evolve_moments, oracle_rate_check
+from .moments import evolve_moments
 from .rates import (
     envelope_check, filter_response, fit_power_law, jordan_transition,
     monte_carlo_moments, transition_bound_check,
@@ -26,7 +26,7 @@ __all__ = [
     "PlantModel", "build_plant", "leader_closed_loop",
     "GainProfile", "RateConstants", "make_profile", "rate_constants",
     "NoiseModel", "Trajectory", "simulate_full", "simulate_reduced",
-    "evolve_moments", "oracle_rate_check",
+    "evolve_moments",
     "envelope_check", "filter_response", "fit_power_law", "jordan_transition",
     "monte_carlo_moments", "transition_bound_check",
     "MomentSeries", "SimScenario", "load_preset", "load_scenario",

@@ -121,7 +121,6 @@ class RateConstants:
 
     lambda_min: float          # min real part of eig(C L2)
     eps: float                 # min(1, lambda_min) / 2
-    mean_exp_coeff: float      # mu1 (lambda_min - eps) / (1 - beta)
 
 
 def rate_constants(profile: GainProfile, L2) -> RateConstants:
@@ -133,9 +132,7 @@ def rate_constants(profile: GainProfile, L2) -> RateConstants:
         raise NonPositiveSpectrumError(
             f"min real part of eig(C L2) is {lam:.3e}; spanning-tree premise fails"
         )
-    eps = 0.5 * min(1.0, lam)
-    coeff = profile.mu1 * (lam - eps) / (1.0 - profile.beta)
-    return RateConstants(lambda_min=lam, eps=eps, mean_exp_coeff=coeff)
+    return RateConstants(lambda_min=lam, eps=0.5 * min(1.0, lam))
 
 
 def decay_dominance_log_ratios(profile: GainProfile, b: float, ts) -> np.ndarray:

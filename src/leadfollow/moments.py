@@ -37,8 +37,6 @@ solve of the mean and its own step-halving error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .integrate import rk4_path
@@ -46,9 +44,6 @@ from .sde import noise_channels
 from .series import MomentSeries
 
 PSD_HARD_TOL = -1e-6
-# oracle_rate_check's bounds on mse * t^beta over the tail: max/min, |log-log slope|.
-RATE_SPREAD_MAX = 10.0
-RATE_SLOPE_TOL = 0.15
 # h_max times the fastest rate at t = 0; 0.03 gives h_max = 0.01 on fig1.
 STEP_SCALE = 0.03
 
@@ -133,62 +128,4 @@ def evolve_moments(scen) -> MomentSeries:
     return MomentSeries(
         times=scen.sample_times, follower_ids=tuple(scen.graph.follower_indices),
         mean_err=mean_err, mse=mse, halfwidth=None, provenance="oracle", step_error=step_error,
-    )
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Finite-horizon witnesses for the convergence-rate statements."""
-
-    follower_ids: tuple[int, ...]
-    tail_window: tuple[float, float]
-    beta: float
-    ms_witness_sup: np.ndarray      # sup over tail of mse * t^beta, per follower
-    ms_witness_spread: np.ndarray   # max/min of mse * t^beta over tail
-    ms_witness_slope: np.ndarray    # LS slope of log(mse * t^beta) vs log t
-    mean_witness_log: np.ndarray    # (S_tail, N): log ||mean err|| + coeff * t^(1-beta)
-    bounded: np.ndarray             # per-follower boolean witness
-
-    @property
-    def all_bounded(self) -> bool:
-        return bool(np.all(self.bounded))
-
-
-class InsufficientSpanError(ValueError):
-    pass
-
-
-def oracle_rate_check(series: MomentSeries, profile, constants,
-                      tail: tuple[float, float] | None = None) -> RateReport:
-    """Boundedness witnesses for the mean-square and mean decay rates.
-
-    These are finite-horizon surrogates: they certify the absence of a growth
-    trend on the simulated horizon, never a true t -> infinity statement.
-    """
-    t = series.times
-    positive = t[t > 0]
-    if positive.size < 2 or positive.max() / positive.min() < 100.0:
-        raise InsufficientSpanError("series must span at least two decades of t")
-    if tail is None:
-        tail = (t.max() / 5.0, t.max())
-    mask = series.window(*tail)
-    if mask.sum() < 4:
-        raise InsufficientSpanError("tail window contains fewer than 4 samples")
-    tt = t[mask]
-    beta = profile.beta
-    witness = series.mse[mask] * tt[:, None] ** beta
-    sup = witness.max(axis=0)
-    spread = witness.max(axis=0) / witness.min(axis=0)
-    logt = np.log(tt)
-    A = np.column_stack([logt, np.ones_like(logt)])
-    coef, *_ = np.linalg.lstsq(A, np.log(witness), rcond=None)
-    slope = coef[0]
-    mean_norm = np.linalg.norm(series.mean_err[mask], axis=2)
-    with np.errstate(divide="ignore"):
-        mean_log = np.log(mean_norm) + constants.mean_exp_coeff * tt[:, None] ** (1.0 - beta)
-    bounded = (spread <= RATE_SPREAD_MAX) & (np.abs(slope) <= RATE_SLOPE_TOL)
-    return RateReport(
-        follower_ids=series.follower_ids, tail_window=tail, beta=beta,
-        ms_witness_sup=sup, ms_witness_spread=spread, ms_witness_slope=slope,
-        mean_witness_log=mean_log, bounded=bounded,
     )

@@ -33,17 +33,20 @@ nothing higher is warranted at desk scale.
 A batch of trials is split into contiguous trial ranges, one per usable CPU
 (``WORKERS``, from the process's CPU affinity; 1 where the platform has
 none), each at least 2 trials wide.  All but the last range run in children
-made with ``os.fork``, which write their rows straight into an output array
-backed by an anonymous shared mmap; the parent runs the last range itself and
+made with ``os.fork``, which write their rows straight into output arrays
+backed by anonymous shared mmaps; the parent runs the last range itself and
 then reaps every child.  Each range runs the serial code on its own streams
 and a slab of at least 2 rows, where BLAS takes the same matrix-matrix path as
 for the whole batch, so every trial's path is bit-identical to a serial run.
 A run with fewer than 4 trials is one range and never forks.
+
+A range whose state leaves the finite range stops there and records, per
+trial, the step it left at; ``_run`` reads that record after the split and
+raises one NonFiniteError, the same whatever the split.
 """
 
 from __future__ import annotations
 
-import json
 import mmap
 import os
 from dataclasses import dataclass
@@ -142,16 +145,16 @@ class _Noise:
         return buf
 
 
-def _first_nonfinite(X, S, v, n, k0, dt) -> NonFiniteError:
-    """Replay a failed block step by step from its start state X, to name the
-    first step that left the finite range and the trials it did so in."""
+def _first_nonfinite(X, S, v, n, k0, first) -> None:
+    """Replay a failed block step by step from its start state X, and mark in
+    ``first`` the trials that left the finite range at the first step any did."""
     for k in range(S.shape[0]):
         X = X @ S[k].T
         X[:, n - 1::n] += v[:, k]
-        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-        if bad.size:
-            break
-    return NonFiniteError((k0 + k + 1) * dt, bad)
+        bad = ~np.isfinite(X).all(axis=1)
+        if bad.any():
+            first[bad] = k0 + k + 1
+            return
 
 
 def _ranges(trials: int) -> list[range]:
@@ -160,18 +163,10 @@ def _ranges(trials: int) -> list[range]:
     return [range(w * trials // workers, (w + 1) * trials // workers) for w in range(workers)]
 
 
-def _run_range(run, part: range, out) -> None:
-    """run(part, rows) on its rows of ``out``; a NonFiniteError names global trials."""
-    try:
-        run(part, out[part.start:part.stop])
-    except NonFiniteError as exc:
-        raise NonFiniteError(exc.t, [part.start + i for i in exc.trials]) from None
-
-
-def _fork(run, part: range, out) -> tuple[int, int]:
-    """Start a worker on the trial range ``part``; returns its pid and its
-    report pipe's read end.  The worker sends nothing on success, [t, trials]
-    on NonFiniteError and the exception's text on any other failure."""
+def _fork(job, part: range) -> tuple[int, int]:
+    """Start a worker on job(part); returns its pid and its report pipe's read
+    end.  The worker sends nothing on success and the exception's text on
+    failure."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -185,12 +180,10 @@ def _fork(run, part: range, out) -> tuple[int, int]:
     status = 1
     try:
         try:
-            _run_range(run, part, out)
+            job(part)
             msg = b""
-        except NonFiniteError as exc:
-            msg = json.dumps([exc.t, exc.trials]).encode()
         except Exception as exc:
-            msg = json.dumps(f"{type(exc).__name__}: {exc}").encode()
+            msg = f"{type(exc).__name__}: {exc}".encode()
         with os.fdopen(wfd, "wb") as fh:
             fh.write(msg)
         status = 0
@@ -218,48 +211,43 @@ def _failure(part: range, msg: bytes, status: int) -> SimulationError | None:
         return SimulationError(f"{where} was killed by signal {os.WTERMSIG(status)}")
     if status:
         return SimulationError(f"{where} exited with status {os.waitstatus_to_exitcode(status)}")
-    if not msg:
-        return None
-    report = json.loads(msg)
-    if isinstance(report, list):
-        return NonFiniteError(*report)
-    return SimulationError(f"{where} failed: {report}")
+    return SimulationError(f"{where} failed: {msg.decode()}") if msg else None
 
 
-def _split(trials: int, shape: tuple, run) -> np.ndarray:
-    """Run trials 0..trials-1 through run(range, rows), which fills ``rows``
-    (len(range), *shape); returns the (trials, *shape) output.
+def _split(trials: int, shape: tuple, run) -> tuple[np.ndarray, np.ndarray]:
+    """Run trials 0..trials-1 through run(range, rows, first), which fills
+    ``rows`` (len(range), *shape) and marks in ``first`` (len(range),) the
+    step at which each trial left the finite range; returns the (trials,
+    *shape) output and the (trials,) int64 steps, 0 for a trial that stayed
+    finite.
 
     With more than one range, all but the last run in forked children that
     write into shared memory, and the parent runs the last.  Every child is
-    reaped, also when the parent's range raised.  A child's failure becomes a
-    SimulationError; NonFiniteErrors merge into the one a serial run raises:
-    the earliest t, with every trial that left the finite range at that t.
+    reaped, also when the parent's range raised; a child's failure becomes a
+    SimulationError.
     """
     ranges = _ranges(trials)
     if len(ranges) == 1:
-        out = np.empty((trials, *shape))
-        run(ranges[0], out)
-        return out
-    out = np.frombuffer(mmap.mmap(-1, trials * int(np.prod(shape)) * 8)).reshape(trials, *shape)
-    children, own = [], None
+        out, first = np.empty((trials, *shape)), np.zeros(trials, dtype=np.int64)
+    else:
+        # Anonymous maps are shared with the children and start zero-filled.
+        out = np.frombuffer(mmap.mmap(-1, trials * int(np.prod(shape)) * 8)).reshape(trials, *shape)
+        first = np.frombuffer(mmap.mmap(-1, trials * 8), dtype=np.int64)
+
+    def job(part):
+        run(part, out[part.start:part.stop], first[part.start:part.stop])
+
+    children = []
     try:
         for part in ranges[:-1]:
-            children.append((part, *_fork(run, part, out)))
-        try:
-            _run_range(run, ranges[-1], out)
-        except NonFiniteError as exc:
-            own = exc
+            children.append((part, *_fork(job, part)))
+        job(ranges[-1])
     finally:
         reports = [(part, *_reap(pid, rfd)) for part, pid, rfd in children]
-    failures = [f for f in [_failure(*r) for r in reports] + [own] if f is not None]
-    for f in failures:
-        if not isinstance(f, NonFiniteError):
-            raise f
-    if failures:
-        t = min(f.t for f in failures)
-        raise NonFiniteError(t, sorted(i for f in failures if f.t == t for i in f.trials))
-    return out
+    for failure in (_failure(*report) for report in reports):
+        if failure is not None:
+            raise failure
+    return out, first
 
 
 def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
@@ -279,7 +267,7 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
     eye = np.eye(drift.base.shape[0])
     phi = drift.base * dt + eye
 
-    def run(part, rows):
+    def run(part, rows, first):
         noise = _Noise(seed, part, scale)
         count = len(part)
         S_buf = np.empty((BLOCK_STEPS,) + phi.shape)
@@ -307,9 +295,15 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
                 if s_i is not None:
                     rows[:, s_i, nodes] = bufs[cur].reshape(count, M, n)
             if not np.isfinite(bufs[cur]).all():
-                raise _first_nonfinite(start, S, v, n, k0, dt)
+                _first_nonfinite(start, S, v, n, k0, first)
+                return
 
-    return _split(trials, (wanted.size, *x0.shape), run)
+    out, first = _split(trials, (wanted.size, *x0.shape), run)
+    if first.any():
+        # The earliest step any trial left the finite range, and every trial that did then.
+        step = int(first[first > 0].min())
+        raise NonFiniteError(step * dt, np.flatnonzero(first == step))
+    return out
 
 
 def _run_full(scen, seed: int, trials: int) -> np.ndarray:

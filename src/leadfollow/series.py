@@ -28,7 +28,7 @@ class MomentSeries:
     def __post_init__(self):
         if (self.halfwidth is not None) != (self.provenance == "monte_carlo"):
             raise ValueError("half-widths present iff provenance is monte_carlo")
-        if np.any(self.mse < 0):
+        if not np.all(self.mse >= 0):  # NaN fails too
             raise ValueError("mean-square errors must be nonnegative")
 
     @property

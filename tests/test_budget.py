@@ -5,7 +5,7 @@ from pathlib import Path
 
 import leadfollow
 
-MAX_DEFAULTS = 13
+MAX_DEFAULTS = 12
 
 
 def _defaults(tree) -> int:

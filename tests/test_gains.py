@@ -91,9 +91,6 @@ def test_rate_constants_reference(follower_profile):
     consts = rate_constants(follower_profile, L2)
     assert consts.lambda_min > 0
     assert consts.lambda_min == pytest.approx(1.0, abs=1e-9)
-    assert consts.mean_exp_coeff == pytest.approx(
-        0.6 * (consts.lambda_min - consts.eps) / 0.6
-    )
 
 
 def test_rate_constants_bad_spectrum(follower_profile):

@@ -5,8 +5,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import leadfollow as lf
-from leadfollow.gains import make_profile
-from leadfollow.moments import InsufficientSpanError
 from leadfollow.scenario import scenario_from_dict
 from leadfollow.verify import oracle_deviation_sigmas
 from leadfollow import integrate, moments, sde
@@ -195,32 +193,28 @@ def test_reduced_space_second_moment_consistency(fig1):
         assert abs(mc[s] - exact) <= 3.0 * se[s]
 
 
-def test_rate_check_reference_series(fig1, fig1_oracle, fig1_constants):
-    rep = lf.oracle_rate_check(fig1_oracle, fig1.profile, fig1_constants,
-                               tail=(20.0, 100.0))
-    assert np.all(rep.ms_witness_spread <= 10.0)
-    assert np.all(np.abs(rep.ms_witness_slope) <= 0.15)
-    assert rep.all_bounded
+def test_rate_check_reference_series(fig1, fig1_oracle):
+    """The oracle's mse t^beta on [20, 100] is bounded: its spread is at most
+    10 and the log-log slope of mse t^beta at most 0.15 in magnitude."""
+    mask = fig1_oracle.window(20.0, 100.0)
+    tt = fig1_oracle.times[mask]
+    assert tt.size >= 4
+    witness = fig1_oracle.mse[mask] * tt[:, None] ** fig1.profile.beta
+    assert np.all(witness.max(axis=0) / witness.min(axis=0) <= 10.0)
+    logt = np.log(tt)
+    coef, *_ = np.linalg.lstsq(np.column_stack([logt, np.ones_like(logt)]),
+                               np.log(witness), rcond=None)
+    assert np.all(np.abs(coef[0]) <= 0.15)
 
 
 def test_rate_check_zero_noise_mean_witness(fig1, fig1_constants):
-    scen = noiseless(fig1)
-    series = lf.evolve_moments(scen)
-    rep = lf.oracle_rate_check(series, fig1.profile, fig1_constants)
-    assert np.all(np.isfinite(rep.mean_witness_log))
-    assert np.all(np.diff(rep.mean_witness_log, axis=0) < 0)
-
-
-def test_rate_check_flags_wrong_exponent(fig1, fig1_oracle, fig1_constants):
-    """Scoring a beta = 0.4 series against beta = 0.8 must trip the witness."""
-    triples = np.column_stack([fig1.profile.mu, fig1.profile.scale, fig1.profile.shift])
-    wrong = make_profile(triples, 0.8, agent_ids=fig1.profile.agent_ids)
-    rep = lf.oracle_rate_check(fig1_oracle, wrong, fig1_constants)
-    assert not rep.all_bounded
-
-
-def test_rate_check_needs_two_decades(fig1, fig1_constants):
-    scen = fig1.with_overrides(t_end=5.0, sample_times=np.linspace(0.5, 5.0, 20))
-    series = lf.evolve_moments(scen)
-    with pytest.raises(InsufficientSpanError):
-        lf.oracle_rate_check(series, fig1.profile, fig1_constants)
+    """Without noise, log||mean err|| + mu1 (lambda_min - eps) / (1 - beta)
+    t^(1-beta) strictly decreases over the tail [t_end / 5, t_end]."""
+    series = lf.evolve_moments(noiseless(fig1))
+    t, beta = series.times, fig1.profile.beta
+    mask = series.window(t.max() / 5.0, t.max())
+    coeff = fig1.profile.mu1 * (fig1_constants.lambda_min - fig1_constants.eps) / (1.0 - beta)
+    witness = (np.log(np.linalg.norm(series.mean_err[mask], axis=2))
+               + coeff * t[mask, None] ** (1.0 - beta))
+    assert np.all(np.isfinite(witness))
+    assert np.all(np.diff(witness, axis=0) < 0)

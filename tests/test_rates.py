@@ -177,12 +177,15 @@ def test_transition_bound_scalar_exact(fig1):
     """For r = 1 the normalized log ratio is exactly -eps * int(envelope):
     strictly decreasing, so the witness passes."""
     grid = np.geomspace(1.0, 100.0, 4001)
-    entry, = lf.transition_bound_check([(1.0, 1)], fig1.profile, 0.1, grid)
+    maxima = lf.transition_bound_check([(1.0, 1)], fig1.profile, 0.1, grid)
     u = fig1.profile.envelope_integral(1.0, grid)
     log_ratio = jordan_transition(1.0, 1, u).log_norms() + (1.0 - 0.1) * u
     assert np.allclose(log_ratio, -0.1 * u, atol=1e-12)
-    assert entry.no_growth
-    assert entry.head_log_max == pytest.approx(0.0, abs=1e-12)
+    assert maxima.shape == (1, 2)
+    (head, tail), = maxima
+    assert head == pytest.approx(0.0, abs=1e-12)
+    assert tail == pytest.approx(-0.1 * u[grid >= 10.0].min(), abs=1e-12)
+    assert tail < head
 
 
 def test_transition_bound_preconditions(fig1):
@@ -195,15 +198,14 @@ def test_transition_bound_preconditions(fig1):
 
 def test_transition_bound_jordan_block(fig1):
     grid = np.geomspace(1.0, 1000.0, 20001)
-    entry, = lf.transition_bound_check([(1.0, 3)], fig1.profile, 0.5, grid)
-    assert entry.no_growth
-    assert entry.tail_log_max < entry.head_log_max
+    (head, tail), = lf.transition_bound_check([(1.0, 3)], fig1.profile, 0.5, grid)
+    assert tail < head
 
 
 def test_filter_constant_drive(fig1):
     b = fig1.plant.K2[0]
     t = np.arange(0.0, 50.0 + 1e-9, 0.01)
-    _, states = lf.filter_response(b, t, np.full(t.size, 2.0), [0.5, -0.5, 1.0])
+    states = lf.filter_response(b, t, np.full(t.size, 2.0), [0.5, -0.5, 1.0])
     assert abs(states[-1, 0] - 2.0 / b[0]) <= 1e-4
     assert np.abs(states[-1, 1:3]).max() <= 1e-4
 
@@ -212,7 +214,7 @@ def test_filter_exponential_tail(fig1):
     b = fig1.plant.K2[0]
     t = np.arange(0.0, 100.0 + 1e-9, 0.005)
     drive = 2.0 + np.exp(-t ** 0.4)
-    _, states = lf.filter_response(b, t, drive, np.zeros(3))
+    states = lf.filter_response(b, t, drive, np.zeros(3))
     ratio = np.abs(states[:, 0] - 2.0) * np.exp(t ** 0.4)
     head = ratio[(t >= 5.0) & (t <= 10.0)].max()
     tail = ratio[(t >= 50.0) & (t <= 100.0)].max()
@@ -223,7 +225,7 @@ def test_filter_power_tail(fig1):
     b = fig1.plant.K2[0]
     t = np.arange(0.01, 100.0 + 1e-9, 0.005)
     drive = 2.0 + t ** -0.2  # squared deviation decays like t^(-0.4)
-    _, states = lf.filter_response(b, t, drive, np.zeros(3))
+    states = lf.filter_response(b, t, drive, np.zeros(3))
     witness = (states[:, 0] - 2.0 / b[0]) ** 2 * t ** 0.4
     head = witness[(t >= 5.0) & (t <= 10.0)].max()
     tail = witness[(t >= 50.0) & (t <= 100.0)].max()
@@ -237,7 +239,7 @@ def test_filter_matches_reference_rk4(fig1, monkeypatch):
     t = np.arange(0.0, 20.0 + 1e-9, 0.005)
     drive = 2.0 + np.exp(-t ** 0.4)
     init = [0.5, -0.5, 1.0]
-    _, states = lf.filter_response(b, t, drive, init)
+    states = lf.filter_response(b, t, drive, init)
     comp = companion(b)
     stages = np.empty(2 * t.size - 1)
     stages[0::2] = drive
@@ -247,7 +249,7 @@ def test_filter_matches_reference_rk4(fig1, monkeypatch):
     assert np.abs(states[:, :3] - ref).max() <= 1e-12 * np.abs(ref).max()
     for subs in (1, 3, 7):
         monkeypatch.setattr(integrate, "SUBS", subs)
-        assert np.array_equal(lf.filter_response(b, t, drive, init)[1], states)
+        assert np.array_equal(lf.filter_response(b, t, drive, init), states)
 
 
 def test_filter_nonuniform_grid_matches_exact_constant_drive(fig1):
@@ -258,7 +260,7 @@ def test_filter_nonuniform_grid_matches_exact_constant_drive(fig1):
     n = b.size - 1
     t = 20.0 * np.linspace(0.0, 1.0, 2001) ** 2
     init = np.array([0.5, -0.5, 1.0])
-    _, states = lf.filter_response(b, t, np.full(t.size, 2.0), init)
+    states = lf.filter_response(b, t, np.full(t.size, 2.0), init)
     A = np.zeros((n + 1, n + 1))
     A[:n, :n] = companion(b)
     A[n - 1, n] = 2.0

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import random
@@ -425,3 +426,21 @@ def test_moment_series_csv_reordered_rejected(fig1, tmp_path):
         path.write_text("\n".join([lines[0]] + reordered) + "\n")
         with pytest.raises(ValueError, match="grid"):
             from_csv(path)
+
+
+def test_moment_series_nan_mse_rejected(fig1, tmp_path):
+    """A NaN mean-square error is not nonnegative: it is rejected at
+    construction and on reading back, instead of passing the envelope check
+    as no violation."""
+    path, lines = _oracle_csv_lines(fig1, tmp_path)
+    series = from_csv(path)
+    mse = series.mse.copy()
+    mse[1, 2] = np.nan
+    with pytest.raises(ValueError, match="nonnegative"):
+        dataclasses.replace(series, mse=mse)
+    cells = lines[6].split(",")
+    cells[-1] = "nan"
+    lines[6] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="nonnegative"):
+        from_csv(path)

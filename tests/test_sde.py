@@ -223,6 +223,32 @@ def test_nonfinite_error_merged_across_workers(fig1, monkeypatch, deadline, work
     assert str(exc.value) == "state became non-finite at t = 0.134 in 4 trial(s): 0, 1, 2, 3"
 
 
+def test_nonfinite_error_merged_across_ranges_at_different_steps(fig1, monkeypatch, deadline):
+    """Trials of both ranges leave the finite range at step 7 and trial 0 at
+    step 9: the error names the earliest step with every trial that left at
+    it, from both ranges, and not the later trial."""
+    scen = _invariance_scenario(fig1)
+    block = sde._Noise.block
+
+    def poisoned(self, a_b):
+        buf = block(self, a_b)
+        for row, stream in enumerate(self.streams):
+            trial = int(stream.bit_generator.state["state"]["key"][1])
+            step = {0: 9, 1: 7, 3: 7}.get(trial)
+            if step is not None:
+                buf[row, step - 1] = np.inf  # enters the state at the step's end
+        return buf
+
+    monkeypatch.setattr(sde, "WORKERS", 2)
+    monkeypatch.setattr(sde._Noise, "block", poisoned)
+    assert sde._ranges(4) == [range(0, 2), range(2, 4)]
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(sde.NonFiniteError) as exc:
+            sde._run_full(scen, 1, 4)
+    assert str(exc.value).endswith("t = 0.007 in 2 trial(s): 1, 3")
+    assert exc.value.trials == (1, 3)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_trials_invariant_to_worker_count(fig1, monkeypatch, deadline, workers):
     """Every worker runs its trial range on at least 2 rows, so each trial's
