@@ -7,7 +7,7 @@ from .topology import (
 from .matrices import Spectrum, eigenvalues, is_hurwitz
 from .plant import PlantModel, build_plant, leader_closed_loop
 from .gains import GainProfile, RateConstants, make_profile, rate_constants
-from .sde import NoiseModel, Trajectory, simulate_full, simulate_reduced
+from .sde import Trajectory, simulate_full, simulate_reduced
 from .moments import evolve_moments
 from .rates import (
     envelope_check, filter_response, fit_power_law, jordan_transition,
@@ -25,7 +25,7 @@ __all__ = [
     "Spectrum", "eigenvalues", "is_hurwitz",
     "PlantModel", "build_plant", "leader_closed_loop",
     "GainProfile", "RateConstants", "make_profile", "rate_constants",
-    "NoiseModel", "Trajectory", "simulate_full", "simulate_reduced",
+    "Trajectory", "simulate_full", "simulate_reduced",
     "evolve_moments",
     "envelope_check", "filter_response", "fit_power_law", "jordan_transition",
     "monte_carlo_moments", "transition_bound_check",

@@ -40,6 +40,13 @@ def _resolve_scenario(config, preset, trials, seed, dt):
     return scen
 
 
+def _require_leader(scen, needs: str) -> None:
+    if scen.leaderless:
+        raise click.ClickException(
+            f"scenario {scen.fingerprint}: {needs} a leader-following scenario"
+        )
+
+
 def _require_trials(scen) -> None:
     if scen.trials < MIN_TRIALS:
         raise click.ClickException(
@@ -112,10 +119,7 @@ def simulate(config, trials, seed, dt, out):
 def moments(config, trials, seed, dt, out):
     """Write Monte Carlo and exact-oracle moment series as CSV."""
     scen = _resolve_scenario(config, "fig1", trials, seed, dt)
-    if scen.leaderless:
-        raise click.ClickException(
-            f"scenario {scen.fingerprint}: moments require a leader-following scenario"
-        )
+    _require_leader(scen, "moments require")
     _require_trials(scen)
     run_dir = _run_dir(out, "moments", scen)
     mc = monte_carlo_moments(scen)
@@ -133,10 +137,7 @@ def moments(config, trials, seed, dt, out):
 def verify(config, trials, seed, dt, out):
     """Run the full property battery; exit 0 only if every check passes."""
     scen = _resolve_scenario(config, "fig1", trials, seed, dt)
-    if scen.leaderless:
-        raise click.ClickException(
-            f"scenario {scen.fingerprint}: verification requires a leader-following scenario"
-        )
+    _require_leader(scen, "verification requires")
     _require_trials(scen)
     run_dir = _run_dir(out, "verify", scen)
     report = run_battery(scen)
@@ -150,6 +151,7 @@ def reproduce_fig1(config, trials, seed, dt, out):
     checked against the decaying envelope; exit 0 iff the violation fraction
     stays within the threshold for every follower."""
     scen = _resolve_scenario(config, "fig1", trials, seed, dt)
+    _require_leader(scen, "reproduce-fig1 requires")
     _require_trials(scen)
     run_dir = _run_dir(out, "reproduce-fig1", scen)
     mc = monte_carlo_moments(scen)

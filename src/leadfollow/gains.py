@@ -39,9 +39,8 @@ class NonPositiveSpectrumError(GainError):
 
 @dataclass(frozen=True)
 class GainProfile:
-    """Gain functions for agents ``agent_ids`` (node ids, typically followers 1..N)."""
+    """Gain functions of a list of agents (a scenario's ``sim_nodes``, in order)."""
 
-    agent_ids: tuple[int, ...]
     mu: np.ndarray
     scale: np.ndarray
     shift: np.ndarray
@@ -51,7 +50,7 @@ class GainProfile:
     mu1: float             # min k_i
 
     def gain_all(self, t) -> np.ndarray:
-        """Gains of all covered agents; shape (..., len(agent_ids))."""
+        """Gains of all covered agents; shape (..., agent count)."""
         tt = np.asarray(t, dtype=float)[..., None]
         return self.mu * (self.scale * tt + self.shift) ** (-self.beta)
 
@@ -87,11 +86,8 @@ class GainProfile:
         return at_starts[k] + piece(k, t)
 
 
-def make_profile(params, beta: float, agent_ids=None) -> GainProfile:
-    """Build a GainProfile from per-agent (mu, scale, shift) triples.
-
-    ``agent_ids`` default to 1..N, the follower node ids.
-    """
+def make_profile(params, beta: float) -> GainProfile:
+    """Build a GainProfile from per-agent (mu, scale, shift) triples."""
     beta = float(beta)
     if not (0.0 < beta < 1.0):
         raise BadExponentError(f"decay exponent must lie in (0, 1), got {beta}")
@@ -101,17 +97,11 @@ def make_profile(params, beta: float, agent_ids=None) -> GainProfile:
     if np.any(arr <= 0):
         raise NonPositiveParamError("all gain parameters must be positive")
     mu, scale, shift = arr[:, 0], arr[:, 1], arr[:, 2]
-    if agent_ids is None:
-        agent_ids = tuple(range(1, arr.shape[0] + 1))
-    else:
-        agent_ids = tuple(int(i) for i in agent_ids)
-        if len(agent_ids) != arr.shape[0]:
-            raise GainError("agent_ids length must match the parameter list")
     k = mu * scale ** (-beta)
     c = k / k.max()
     return GainProfile(
-        agent_ids=agent_ids, mu=frozen_copy(mu), scale=frozen_copy(scale), shift=frozen_copy(shift),
-        beta=beta, k=frozen_copy(k), c=frozen_copy(c), mu1=float(k.min()),
+        mu=frozen_copy(mu), scale=frozen_copy(scale), shift=frozen_copy(shift), beta=beta,
+        k=frozen_copy(k), c=frozen_copy(c), mu1=float(k.min()),
     )
 
 

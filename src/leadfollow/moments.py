@@ -5,9 +5,9 @@ For a linear SDE with additive noise the first two moments obey closed ODEs:
     m' = F(t) m,
     P' = F(t) P + P F(t)^T + G(t) G(t)^T,
 
-with F(t) = I_N (x) (A + B K1) - Gains(t) L2 (x) B K2 and G(t) the stacked
-noise routing.  The oracle steps them with the RK4 propagator
-(``integrate.rk4_path`` with noise):
+with F(t) = I_N (x) (A + B K1) - Gains(t) L2 (x) B K2 and G(t) the noise
+routing, a_p(t) sqrt(q_p) into follower p's last state component.  The
+oracle steps them with the RK4 propagator (``integrate.rk4_path`` with noise):
 
     m <- R_k m,    P <- R_k P R_k^T + S_k,
 
@@ -28,9 +28,9 @@ own relative mse error, ``step_error``.
 
 This is the designated ground truth that every Monte Carlo estimate is
 checked against: no sampling error, only measured discretization error.  F
-and the noise routing come from the same assembly the path simulator uses
-(``plant.closed_loop_drift``, ``sde.noise_channels``).  The oracle's
-independence from that assembly lives in the tests, which check it against a
+and the noise come from the same sources the path simulator reads
+(``plant.closed_loop_drift``, ``SimScenario.noise_rate``).  The oracle's
+independence from them lives in the tests, which check it against a
 per-stage RK4 of the moment ODEs in the dense Kronecker form, an adaptive ODE
 solve of the mean and its own step-halving error.
 """
@@ -40,7 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 from .integrate import rk4_path
-from .sde import noise_channels
 from .series import MomentSeries
 
 PSD_HARD_TOL = -1e-6
@@ -84,7 +83,7 @@ def _propagate(scen, h_max: float):
     N, n = len(fol), scen.plant.n
     D = N * n
     F = scen.drift()
-    sqrt_q = np.sqrt(noise_channels(scen, fol))
+    sqrt_q = np.sqrt(scen.noise_rate[fol])
     t, slot = step_grid(scen.sample_times, h_max)
 
     def diffusion(a):

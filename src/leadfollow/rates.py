@@ -23,7 +23,7 @@ import numpy as np
 from . import sde
 from .integrate import rk4_path
 from .matrices import companion
-from .plant import NotHurwitzError, require_hurwitz  # noqa: F401  (filter_response raises it)
+from .plant import require_hurwitz
 from .series import MomentSeries
 
 
@@ -41,6 +41,8 @@ MIN_TRIALS = 2  # the half-widths need a sample variance
 def monte_carlo_moments(scen) -> MomentSeries:
     """Sample means of the follower errors and squared errors over the
     scenario's trials, at its sample times."""
+    if scen.leaderless:
+        raise ValueError("Monte Carlo moments require a leader-following scenario")
     trials = scen.trials
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for a variance estimate")
@@ -98,36 +100,12 @@ def envelope_check(series: MomentSeries, C: float, beta: float, t_min: float) ->
     return viol.mean(axis=0)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Jordan-block transition matrices expm(-u J(lam)) at the gain integrals u."""
-
-    lam: complex
-    r: int
-    gain_integral: np.ndarray   # (S,): u = int_{t0}^{t} a at each time t
-
-    def _scaled_band(self) -> np.ndarray:
-        """(S, r): (-u)^i / i!, the band with the diagonal decay exp(-lam u) factored out."""
-        i = np.arange(self.r)
-        return (-self.gain_integral[:, None]) ** i / np.cumprod(np.maximum(i, 1))
-
-    @property
-    def values(self) -> np.ndarray:
-        """(S, r, r) complex transition matrices."""
-        decay = np.exp(-self.lam * self.gain_integral)[:, None]
-        return _toeplitz_upper(self._scaled_band() * decay)
-
-    def log_norms(self) -> np.ndarray:
-        """log of the spectral norm at every time, computed stably.
-
-        Factoring out the diagonal decay exp(-lam u) keeps the residual
-        Toeplitz factor T well scaled even when the raw entries underflow.  T
-        is real, so its spectral norm is the square root of the largest
-        eigenvalue of T^T T.
-        """
-        T = _toeplitz_upper(self._scaled_band())
-        norms = np.sqrt(np.linalg.eigvalsh(T.swapaxes(-1, -2) @ T)[:, -1])
-        return -self.lam.real * self.gain_integral + np.log(norms)
+def _scaled_band(r: int, u: np.ndarray) -> np.ndarray:
+    """(S, r): (-u)^i / i!, the band with the diagonal decay exp(-lam u) factored out."""
+    if r < 1:
+        raise ValueError("block size must be >= 1")
+    i = np.arange(r)
+    return (-u[:, None]) ** i / np.cumprod(np.maximum(i, 1))
 
 
 def _toeplitz_upper(band: np.ndarray) -> np.ndarray:
@@ -140,13 +118,25 @@ def _toeplitz_upper(band: np.ndarray) -> np.ndarray:
     return m
 
 
-def jordan_transition(lam: complex, r: int, gain_integral) -> TransitionMatrix:
-    """Transition matrices of x' = -a(t) J x for an r-sized Jordan block J(lam),
-    in closed form from the gain integrals u = int_{t0}^t a."""
-    if r < 1:
-        raise ValueError("block size must be >= 1")
-    return TransitionMatrix(lam=complex(lam), r=int(r),
-                            gain_integral=np.asarray(gain_integral, dtype=float))
+def jordan_transition(lam: complex, r: int, gain_integral) -> np.ndarray:
+    """(S, r, r) complex transition matrices expm(-u J(lam)) of x' = -a(t) J x
+    for an r-sized Jordan block J(lam), in closed form from the gain
+    integrals u = int_{t0}^t a."""
+    u = np.asarray(gain_integral, dtype=float)
+    return _toeplitz_upper(_scaled_band(r, u) * np.exp(-complex(lam) * u)[:, None])
+
+
+def jordan_log_norms(lam: complex, r: int, gain_integral) -> np.ndarray:
+    """(S,) log of the spectral norm of ``jordan_transition``, computed stably.
+
+    Factoring out the diagonal decay exp(-lam u) keeps the residual Toeplitz
+    factor T well scaled even when the raw entries underflow.  T is real, so
+    its spectral norm is the square root of the largest eigenvalue of T^T T.
+    """
+    u = np.asarray(gain_integral, dtype=float)
+    T = _toeplitz_upper(_scaled_band(r, u))
+    norms = np.sqrt(np.linalg.eigvalsh(T.swapaxes(-1, -2) @ T)[:, -1])
+    return -complex(lam).real * u + np.log(norms)
 
 
 def jordan_transition_ode(lam: complex, gain_fn, r: int, grid) -> np.ndarray:
@@ -184,7 +174,7 @@ def transition_bound_check(blocks, profile, eps: float, grid) -> np.ndarray:
             raise ValueError(f"lambda must have positive real part, got {lam}")
         if not (0.0 < eps < lam.real):
             raise ValueError(f"eps must lie in (0, {lam.real}), got {eps}")
-        log_ratio = jordan_transition(lam, r, u).log_norms() + (lam.real - eps) * u
+        log_ratio = jordan_log_norms(lam, r, u) + (lam.real - eps) * u
         maxima[i] = log_ratio[head].max(), log_ratio[tail].max()
     return maxima
 

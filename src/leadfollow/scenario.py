@@ -19,7 +19,9 @@ grid, the grid the engine steps on (t_end rounded to whole steps of dt), and
 times that share a step are merged.  The gains list covers every node
 including the leader.  A leaderless profile covers every node; in a
 leader-following scenario the leader's triple is ignored, since the autonomous
-leader has no gain.  ``leaderless`` must be a JSON boolean and
+leader has no gain.  ``noise`` is one intensity for every edge or at most one
+entry per edge, never both; it resolves into ``noise_rate``, the noise
+variance rate of each node.  ``leaderless`` must be a JSON boolean and
 ``monte_carlo`` may be left out (2 trials, seed 0); at most MAX_TRIALS trials
 and MAX_STEPS steps.
 Validation is aggregated: every failure is reported, not just the first, and
@@ -40,8 +42,8 @@ import numpy as np
 
 from . import gains as gains_mod
 from . import plant as plant_mod
-from . import sde, topology
-from .matrices import MAX_DIM
+from . import topology
+from .matrices import MAX_DIM, frozen_copy
 
 
 # Every trial has its own noise generator, built before the first step.
@@ -66,8 +68,8 @@ class SimScenario:
     graph: topology.Digraph
     lap: topology.LaplacianPartition
     plant: plant_mod.PlantModel
-    profile: gains_mod.GainProfile          # followers (leader-following) or all nodes
-    noise: sde.NoiseModel
+    profile: gains_mod.GainProfile          # the sim_nodes, in order
+    noise_rate: np.ndarray                   # (N+1,) noise variance rate q of each node
     init_states: np.ndarray                  # (N+1, n)
     dt: float
     t_end: float
@@ -83,8 +85,8 @@ class SimScenario:
 
     @property
     def sim_nodes(self) -> list[int]:
-        """Nodes whose states are integrated, in ``profile.agent_ids`` order:
-        every node when leaderless, else the followers."""
+        """Nodes whose states are integrated, in ``profile`` order: every
+        node when leaderless, else the followers."""
         if self.leaderless:
             return list(range(self.graph.node_count))
         return self.graph.follower_indices
@@ -159,21 +161,28 @@ def _resolve_sample_times(spec, dt: float, t_end: float) -> np.ndarray:
     return idx * dt
 
 
-def _noise_model(cfg, graph: topology.Digraph, n: int) -> sde.NoiseModel:
-    edges = tuple(graph.edges())
+def _noise_rate(cfg, graph: topology.Digraph, plant: plant_mod.PlantModel) -> np.ndarray:
+    """Noise variance rate q of every node, shape (node_count,).  Edge j -> i
+    feeds a_i w_ij K2 (rho_ij o dW_ij) into node i's last state component, and
+    each edge has one receiver, so in law node i gets a_i sqrt(q_i) dB_i with
+    q_i = sum_j w_ij^2 |K2 o rho_ij|^2.  An edge without an entry has rho 0."""
+    rho = np.zeros(graph.weights.shape + (plant.n,))  # (receiver, sender, component)
     if "rho" in cfg:
-        rho = np.full((len(edges), n), float(cfg["rho"]))
+        if "edges" in cfg:
+            raise ValueError("give either 'rho' or 'edges', not both")
+        rho[...] = float(cfg["rho"])
     else:
-        rho = np.zeros((len(edges), n))
-        index = {e: k for k, e in enumerate(edges)}
+        edges, seen = set(graph.edges()), set()
         for entry in cfg["edges"]:
             key = (_integer(entry["to"], "edge 'to'"), _integer(entry["from"], "edge 'from'"))
-            if key not in index:
+            if key not in edges:
                 raise ValueError(f"entry for nonexistent edge {key}")
-            val = np.asarray(entry["rho"], dtype=float)
-            rho[index[key]] = val if val.shape else np.full(n, float(val))
-    rho.setflags(write=False)
-    return sde.NoiseModel(edges=edges, rho=rho)
+            if key in seen:
+                raise ValueError(f"second entry for edge {key}")
+            seen.add(key)
+            rho[key] = np.asarray(entry["rho"], dtype=float)
+    per_edge = ((graph.weights[:, :, None] * plant.K2[0] * rho) ** 2).sum(axis=2)
+    return frozen_copy(per_edge.sum(axis=1))
 
 
 def _gain_profile(cfg, graph, leaderless) -> gains_mod.GainProfile:
@@ -187,7 +196,7 @@ def _gain_profile(cfg, graph, leaderless) -> gains_mod.GainProfile:
         )
     lead = None if leaderless else (graph.leader_index if graph is not None else 0)
     ids = [i for i in range(len(triples)) if i != lead]
-    return gains_mod.make_profile(triples[ids], cfg["beta"], agent_ids=ids)
+    return gains_mod.make_profile(triples[ids], cfg["beta"])
 
 
 def _init_states(cfg, graph, plant) -> np.ndarray:
@@ -268,7 +277,7 @@ def scenario_from_dict(raw: dict) -> SimScenario:
         allow_leader_neighbors=leaderless))
     plant = section("plant", lambda cfg: plant_mod.build_plant(cfg["alpha"], cfg["b"]))
     profile = section("gains", lambda cfg: _gain_profile(cfg, graph, leaderless))
-    noise = section("noise", lambda cfg: _noise_model(cfg, graph, plant.n), "graph", "plant")
+    noise_rate = section("noise", lambda cfg: _noise_rate(cfg, graph, plant), "graph", "plant")
     init = section("init", lambda cfg: _init_states(cfg, graph, plant))
     integration = section("integration", _integration)
     mc = section("monte_carlo", _monte_carlo) if "monte_carlo" in raw else (2, 0)
@@ -290,7 +299,7 @@ def scenario_from_dict(raw: dict) -> SimScenario:
     sample_times.setflags(write=False)
     scen = SimScenario(
         graph=graph, lap=topology.laplacian_partition(graph), plant=plant, profile=profile,
-        noise=noise, init_states=init, dt=dt, t_end=t_end, sample_times=sample_times,
+        noise_rate=noise_rate, init_states=init, dt=dt, t_end=t_end, sample_times=sample_times,
         trials=trials, base_seed=base_seed, leaderless=leaderless,
         fingerprint=fingerprint, raw_json=raw_json,
     )

@@ -12,9 +12,8 @@ of M agents with n states each.  Two systems go through it:
   one-state agents with A + B K1 = 0 and K2 = 1.
 
 Noise reaches simulated agent i only through the last component of its
-state, as a_i(t) sum_j w_ij K2 (rho_ij o dW_ij).  Each edge has one receiver,
-so in law this is a_i(t) sqrt(q_i) dB_i, with the per-receiver variance rate
-q_i of ``noise_channels``: the engine draws one standard normal per simulated
+state, as a_i(t) sqrt(q_i) dB_i in law, with q_i its noise variance rate
+``SimScenario.noise_rate``: the engine draws one standard normal per simulated
 agent per step and nothing else.  Trial t draws from its own counter-based
 stream, Philox keyed on [base_seed, t], step-major (all agents of step k, then
 step k + 1), so a trial's path depends neither on BLOCK_STEPS nor on the trial
@@ -77,20 +76,6 @@ class NonFiniteError(SimulationError):
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Per-edge diagonal noise intensities; edges mirror the digraph."""
-
-    edges: tuple[tuple[int, int], ...]  # (receiver, sender), row-major order
-    rho: np.ndarray                     # (E, n) diagonal intensity entries
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.rho)):
-            raise ValueError("noise intensities must be finite")
-        if self.rho.shape[0] != len(self.edges):
-            raise ValueError("one intensity row required per edge")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled path of one simulation run."""
 
@@ -98,37 +83,14 @@ class Trajectory:
     states: np.ndarray   # full: (S, N+1, n); reduced: (S, N)
 
 
-def _trial_streams(seed: int, trials: range) -> list[np.random.Generator]:
-    # Philox is counter-based: trial t's stream is a pure function of its key
-    # [seed, t], whatever the trial count, the block size or the trial range.
-    return [np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
-            for t in trials]
-
-
-def noise_channels(scen, nodes) -> np.ndarray:
-    """Per-receiver noise variance rate q of ``nodes``, shape (len(nodes),).
-
-    q_i = sum_j w_ij^2 |K2 o rho_ij|^2 over the edges j -> i: the noise
-    a_i sum_j w_ij K2 (rho_ij o dW_ij) that reaches node i's last state
-    component has the law of a_i sqrt(q_i) dB_i.
-    """
-    pos = {node: p for p, node in enumerate(nodes)}
-    K2 = scen.plant.K2[0]
-    rows = [(k, i, j) for k, (i, j) in enumerate(scen.noise.edges) if i in pos]
-    ke = np.empty((len(rows), scen.plant.n))
-    Winc = np.zeros((len(nodes), len(rows)))
-    for e, (k, i, j) in enumerate(rows):
-        ke[e] = scen.graph.weights[i, j] * K2 * scen.noise.rho[k]
-        Winc[pos[i], e] = 1.0
-    return Winc @ (ke ** 2).sum(axis=1)
-
-
 class _Noise:
     """Per-trial streams drawn one block of steps at a time."""
 
-    def __init__(self, seed: int, trials: int | range, scale: np.ndarray):
-        trials = trials if isinstance(trials, range) else range(trials)
-        self.streams = _trial_streams(seed, trials)
+    def __init__(self, seed: int, trials: range, scale: np.ndarray):
+        # Philox is counter-based: trial t's stream is a pure function of its key
+        # [seed, t], whatever the trial count, the block size or the trial range.
+        self.streams = [np.random.Generator(np.random.Philox(key=np.array([seed, t], np.uint64)))
+                        for t in trials]
         self.scale = scale  # (M,) sqrt(dt q): the increment's standard deviation at gain 1
         self.buf = np.empty((len(trials), BLOCK_STEPS, scale.size))
 
@@ -263,7 +225,7 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
     M = last.size
     wanted = scen.sample_steps()
     at = {k: s_i for s_i, k in enumerate(wanted.tolist())}
-    scale = np.sqrt(dt) * np.sqrt(noise_channels(scen, scen.sim_nodes))
+    scale = np.sqrt(dt) * np.sqrt(scen.noise_rate[scen.sim_nodes])
     eye = np.eye(drift.base.shape[0])
     phi = drift.base * dt + eye
 

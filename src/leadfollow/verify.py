@@ -159,9 +159,10 @@ def check_jordan_recursion() -> CheckResult:
         mu, c, d = rng.uniform(0.3, 2.0), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
         profile = make_profile([[mu, c, d]], rng.uniform(0.2, 0.8))
         grid = np.linspace(0.5, 10.0, 8001)
-        tm = jordan_transition(lam, r, profile.envelope_integral(0.5, grid))
+        u = profile.envelope_integral(0.5, grid)
         ode = jordan_transition_ode(lam, profile.envelope, r, grid)
-        worst = max(worst, float(np.abs(tm.values - ode).max()))
+        # The closed form last and unnamed, so no RK4 temporary coexists with it.
+        worst = max(worst, float(np.abs(jordan_transition(lam, r, u) - ode).max()))
     return _check("jordan_recursion_vs_ode", worst, 1e-6, "<=")
 
 

@@ -113,14 +113,31 @@ def reference_moments(scen):
     return mean, mse
 
 
+def edge_noise(scen):
+    """(receiver, sender, rho) of every edge the noise section names, rho of
+    shape (n,), read from the scenario document itself, independently of
+    ``SimScenario.noise_rate``; in row-major order for a single ``rho``."""
+    raw = json.loads(scen.raw_json)
+    n = scen.plant.n
+    if "rho" in raw["noise"]:
+        rows, cols = np.nonzero(np.asarray(raw["graph"]["weights"], dtype=float))
+        return [(int(i), int(j), np.full(n, float(raw["noise"]["rho"])))
+                for i, j in zip(rows, cols)]
+    return [(int(e["to"]), int(e["from"]),
+             np.broadcast_to(np.asarray(e["rho"], dtype=float), (n,)))
+            for e in raw["noise"]["edges"]]
+
+
 def dense_noise_routing(scen, nodes):
     """Independent reference for the noise routing: G (len(nodes) n, E n) maps
-    the stacked per-edge increments dW_e into the stacked states of ``nodes``;
-    edge e = (i, j) feeds w_ij K2 o rho_e into the last component of node i."""
+    the stacked per-edge increments dW_e of the E edges of ``edge_noise`` into
+    the stacked states of ``nodes``; edge e = (i, j) feeds w_ij K2 o rho_e into
+    the last component of node i."""
     n = scen.plant.n
     K2 = scen.plant.K2[0]
-    G = np.zeros((len(nodes) * n, len(scen.noise.edges) * n))
-    for e, ((i, j), rho) in enumerate(zip(scen.noise.edges, scen.noise.rho)):
+    edges = edge_noise(scen)
+    G = np.zeros((len(nodes) * n, len(edges) * n))
+    for e, (i, j, rho) in enumerate(edges):
         if i in nodes:
             G[list(nodes).index(i) * n + n - 1, e * n:(e + 1) * n] = scen.graph.weights[i, j] * K2 * rho
     return G

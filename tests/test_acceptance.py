@@ -7,11 +7,12 @@ finite horizon are labeled as surrogates in their line.
 """
 
 import numpy as np
-import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
 import leadfollow as lf
 from leadfollow import sde, verify
+
+from conftest import edge_noise
 
 
 def _report(num, name, passed, detail, surrogate=False):
@@ -24,8 +25,9 @@ def _report(num, name, passed, detail, surrogate=False):
 def _asymptotic_envelope_constant(scen):
     """Leading-order constant C* of E|x_i - x_0|^2 ~ C_i t^(-beta), maximized over i.
 
-    Built from the scenario's own fields only, without ``sde`` or ``moments``,
-    so that it is an independent reference.  The identities K2 (A + B K1) = 0
+    Built from the scenario's own fields and its document's noise section
+    (``edge_noise``), without ``sde``, ``moments`` or ``noise_rate``, so that it
+    is an independent reference.  The identities K2 (A + B K1) = 0
     and K2 B = 1 reduce follower i's filtered error z_i = K2 (x_i - x_0) to
 
         dz = -a(t) L2 z dt + a(t) Q^(1/2) dB,   a(t) = diag(a_i(t)) ~ t^(-beta) K,
@@ -40,7 +42,7 @@ def _asymptotic_envelope_constant(scen):
     fol = scen.graph.follower_indices
     K2 = scen.plant.K2[0]
     q = np.zeros(len(fol))
-    for (i, j), rho in zip(scen.noise.edges, scen.noise.rho):
+    for i, j, rho in edge_noise(scen):
         if i in fol:
             q[fol.index(i)] += scen.graph.weights[i, j] ** 2 * np.sum((K2 * rho) ** 2)
     K = np.diag(scen.profile.k)

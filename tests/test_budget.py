@@ -1,11 +1,14 @@
-"""The tracked size budget of ``src/leadfollow``: parameters with defaults."""
+"""The tracked size budget of ``src/leadfollow``: parameters with defaults;
+and no unused imports in the package or its tests."""
 
 import ast
 from pathlib import Path
 
 import leadfollow
 
-MAX_DEFAULTS = 12
+MAX_DEFAULTS = 11
+PACKAGE = Path(leadfollow.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _defaults(tree) -> int:
@@ -18,7 +21,31 @@ def _defaults(tree) -> int:
 def test_defaults_within_budget():
     """A default that no caller sets is an option nobody runs; the count
     may only fall."""
-    files = sorted(Path(leadfollow.__file__).parent.glob("*.py"))
+    files = sorted(PACKAGE.glob("*.py"))
     assert files
     count = sum(_defaults(ast.parse(f.read_text())) for f in files)
     assert count <= MAX_DEFAULTS
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names bound by an import that the module never loads, nor lists in
+    ``__all__`` (a package's re-exports)."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "annotations":
+                    bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_imports():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = {f.name: found for f in files
+              if (found := _unused_imports(ast.parse(f.read_text())))}
+    assert unused == {}

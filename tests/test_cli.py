@@ -171,6 +171,18 @@ def test_verify_rejects_leaderless(runner, tmp_path):
     assert "leader-following" in res.output
 
 
+@pytest.mark.parametrize("subcommand", ["moments", "reproduce-fig1"])
+def test_follower_moments_reject_leaderless(runner, tmp_path, subcommand):
+    """Follower errors need a leader: a leaderless scenario is refused before
+    any trial runs or any file is written."""
+    out = tmp_path / "out"
+    res = runner.invoke(main, [subcommand, "--config", str(preset_path("fig2")),
+                               "--trials", "4", "--out", str(out)])
+    assert res.exit_code == 1
+    assert re.search(r"requires? a leader-following scenario", res.output)
+    assert not out.exists()
+
+
 def test_reproduce_fig2(runner, tmp_path):
     """The growth witness is a single-path diagnostic that fails on about one
     noise seed in five, so its exit status is not asserted; it must agree with

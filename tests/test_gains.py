@@ -23,7 +23,6 @@ def follower_profile():
 
 def test_reference_profile_constants(follower_profile):
     p = follower_profile
-    assert p.agent_ids == (1, 2, 3, 4)
     expected_k = [1.2, 1.5 * 3.0 ** -0.4, 0.6, 1.5 * 4.0 ** -0.4]
     assert np.allclose(p.k, expected_k, atol=1e-12)
     assert np.allclose(p.k, [1.2, 0.9666, 0.6, 0.8615], atol=5e-4)

@@ -6,7 +6,6 @@ from scipy.integrate import solve_ivp
 
 import leadfollow as lf
 from leadfollow.scenario import scenario_from_dict
-from leadfollow.verify import oracle_deviation_sigmas
 from leadfollow import integrate, moments, sde
 
 from conftest import dense_drift, noiseless, reference_moments

@@ -4,8 +4,9 @@ from scipy.linalg import expm
 
 import leadfollow as lf
 from leadfollow.gains import make_profile
+from leadfollow.plant import NotHurwitzError
 from leadfollow.rates import (
-    GridMismatchError, NotHurwitzError, WindowTooNarrowError, jordan_transition,
+    GridMismatchError, WindowTooNarrowError, jordan_log_norms, jordan_transition,
     jordan_transition_ode,
 )
 from leadfollow import integrate
@@ -27,6 +28,13 @@ def _synthetic_series(times, mse):
 def test_monte_carlo_preconditions(fig1):
     with pytest.raises(ValueError):
         lf.monte_carlo_moments(fig1.with_overrides(trials=1))
+
+
+def test_monte_carlo_rejects_leaderless(fig2):
+    """A leaderless scenario has no follower errors: its node 0 is a mere
+    reference node, not a leader."""
+    with pytest.raises(ValueError, match="leader-following"):
+        lf.monte_carlo_moments(fig2.with_overrides(t_end=1.0, trials=2))
 
 
 def test_monte_carlo_zero_noise(fig1):
@@ -87,16 +95,16 @@ def test_envelope_check_antitone(fig1_oracle):
 def test_jordan_scalar_constant_gain():
     grid = np.linspace(1.0, 6.0, 501)
     tm = jordan_transition(1.0, 1, grid - 1.0)
-    assert np.allclose(tm.values[:, 0, 0], np.exp(-(grid - 1.0)), atol=1e-12)
+    assert np.allclose(tm[:, 0, 0], np.exp(-(grid - 1.0)), atol=1e-12)
 
 
 def test_jordan_block_closed_form():
     # r = 2, lambda = 1, a = 1 from t0 = 0: off-diagonal entry is -t e^{-t}
     grid = np.linspace(0.0, 5.0, 2001)
     tm = jordan_transition(1.0, 2, grid)
-    assert np.allclose(tm.values[:, 0, 1], -grid * np.exp(-grid), atol=1e-15)
-    assert np.allclose(tm.values[:, 1, 0], 0.0)
-    assert np.allclose(tm.values[:, 0, 0], tm.values[:, 1, 1])
+    assert np.allclose(tm[:, 0, 1], -grid * np.exp(-grid), atol=1e-15)
+    assert np.allclose(tm[:, 1, 0], 0.0)
+    assert np.allclose(tm[:, 0, 0], tm[:, 1, 1])
 
 
 @pytest.mark.parametrize("lam, r", [(1.0, 1), (0.7 - 0.4j, 2), (2.5 + 1.0j, 4), (0.3, 6)])
@@ -106,7 +114,7 @@ def test_jordan_values_match_expm(lam, r):
     grid = np.geomspace(0.5, 50.0, 301)
     u = profile.envelope_integral(0.5, grid)
     J = np.eye(r) * lam + np.eye(r, k=1)
-    values = jordan_transition(lam, r, u).values
+    values = jordan_transition(lam, r, u)
     ref = np.array([expm(-uk * J) for uk in u])
     assert np.abs(values - ref).max() <= 1e-12
 
@@ -121,7 +129,7 @@ def test_jordan_recursion_vs_ode_battery():
         grid = np.linspace(0.5, 10.0, 8001)
         tm = jordan_transition(lam, r, profile.envelope_integral(0.5, grid))
         ode = jordan_transition_ode(lam, profile.envelope, r, grid)
-        assert np.abs(tm.values - ode).max() <= 1e-10
+        assert np.abs(tm - ode).max() <= 1e-10
 
 
 def test_jordan_ode_matches_reference_rk4(monkeypatch):
@@ -161,12 +169,11 @@ def test_jordan_ode_real_form_matches_complex_rk4(lam, r):
 def test_batched_transition_matches_per_point_definition():
     grid = np.linspace(0.5, 10.0, 8001)
     u = make_profile([(1.5, 1.0, 0.5)], 0.3).envelope_integral(0.5, grid)
-    tm = jordan_transition(1.2 + 0.3j, 3, u)
-    values = tm.values
+    values = jordan_transition(1.2 + 0.3j, 3, u)
     per_point = [np.log(np.linalg.norm(values[s], 2)) for s in range(grid.size)]
-    assert np.abs(tm.log_norms() - per_point).max() <= 1e-12
+    assert np.abs(jordan_log_norms(1.2 + 0.3j, 3, u) - per_point).max() <= 1e-12
 
-    values = jordan_transition(1.2 + 0.3j, 4, u).values
+    values = jordan_transition(1.2 + 0.3j, 4, u)
     for i in range(4):
         for j in range(4):
             expected = values[:, 0, j - i] if j >= i else 0.0
@@ -179,7 +186,7 @@ def test_transition_bound_scalar_exact(fig1):
     grid = np.geomspace(1.0, 100.0, 4001)
     maxima = lf.transition_bound_check([(1.0, 1)], fig1.profile, 0.1, grid)
     u = fig1.profile.envelope_integral(1.0, grid)
-    log_ratio = jordan_transition(1.0, 1, u).log_norms() + (1.0 - 0.1) * u
+    log_ratio = jordan_log_norms(1.0, 1, u) + (1.0 - 0.1) * u
     assert np.allclose(log_ratio, -0.1 * u, atol=1e-12)
     assert maxima.shape == (1, 2)
     (head, tail), = maxima

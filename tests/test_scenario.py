@@ -22,8 +22,9 @@ def test_fig1_preset(fig1):
     assert fig1.graph.node_count == 5
     assert not fig1.leaderless
     assert fig1.profile.beta == 0.4
-    assert fig1.profile.agent_ids == (1, 2, 3, 4)
-    assert np.all(fig1.noise.rho == 1.0)
+    assert fig1.sim_nodes == [1, 2, 3, 4]
+    # rho 1 on every edge: q_i = |K2|^2 sum_j w_ij^2 with |K2|^2 = 1 + 9 + 9 + 1
+    assert fig1.noise_rate.tolist() == [0.0, 20.0, 40.0, 80.0, 40.0]
     assert fig1.trials == 500
     assert fig1.dt == 1e-3
     assert fig1.t_end == 100.0
@@ -34,7 +35,7 @@ def test_fig2_preset(fig2):
     assert fig2.leaderless
     assert (0, 4) in fig2.graph.edges()
     # uniform gains 1/(1+t)^0.4 on every node
-    assert fig2.profile.agent_ids == (0, 1, 2, 3, 4)
+    assert fig2.sim_nodes == [0, 1, 2, 3, 4]
     assert np.all(fig2.profile.mu == 1.0)
     assert np.all(fig2.profile.scale == 1.0)
     assert np.all(fig2.profile.shift == 1.0)
@@ -162,6 +163,12 @@ def test_null_array_element_is_non_finite(fig1):
     (("integration", "sample_times"), {"kind": "logspace", "start": 0.5, "stop": 100.0,
                                        "count": 10 ** 7 + 2},
      "integration: sample_times count 10000002 exceeds MAX_STEPS + 1 = 10000001"),
+    # Noise sections that would drop part of themselves: a second entry for
+    # one edge, or one intensity for every edge next to per-edge entries.
+    (("noise",), {"edges": [{"to": 1, "from": 0, "rho": 1.0}, {"to": 1, "from": 0, "rho": 5.0}]},
+     "noise: second entry for edge (1, 0)"),
+    (("noise",), {"rho": 1.0, "edges": [{"to": 1, "from": 0, "rho": 5.0}]},
+     "noise: give either 'rho' or 'edges', not both"),
 ])
 def test_malformed_field_listed(fig1, path, value, failure):
     """A wrong-typed, missing or out-of-range field is one failure of its own
@@ -182,7 +189,7 @@ def test_integral_floats_accepted(fig1):
     raw["noise"] = {"edges": [{"to": 1.0, "from": 0.0, "rho": 1.0}]}
     scen = scenario_from_dict(raw)
     assert (scen.trials, scen.base_seed, scen.graph.leader_index) == (7, 3, 0)
-    assert scen.noise.rho[scen.noise.edges.index((1, 0))].tolist() == [1.0] * 4
+    assert scen.noise_rate.tolist() == [0.0, 20.0, 0.0, 0.0, 0.0]
 
 
 def test_non_object_document_is_parse_error(tmp_path):
@@ -279,9 +286,9 @@ def test_per_edge_noise_entries(fig1):
     raw = json.loads(fig1.raw_json)
     raw["noise"] = {"edges": [{"to": 1, "from": 0, "rho": [1.0, 0.5, 0.5, 0.0]}]}
     scen = scenario_from_dict(raw)
-    k = scen.noise.edges.index((1, 0))
-    assert np.array_equal(scen.noise.rho[k], [1.0, 0.5, 0.5, 0.0])
-    assert np.all(scen.noise.rho[:k] == 0.0)
+    # K2 = [1, 3, 3, 1]: 1 + 0.25 * 9 + 0.25 * 9 + 0
+    assert scen.noise_rate.tolist() == [0.0, 5.5, 0.0, 0.0, 0.0]
+    assert not scen.noise_rate.flags.writeable
 
     raw["noise"] = {"edges": [{"to": 0, "from": 3, "rho": 1.0}]}
     with pytest.raises(ValidationError):

@@ -99,7 +99,7 @@ def test_noise_channel_independence():
     unit-variance and free of lag-one correlation in the order the simulator
     consumes them."""
     trials, M, steps = 6, 4, 100000
-    noise = sde._Noise(123, trials, np.ones(M))
+    noise = sde._Noise(123, range(trials), np.ones(M))
     chunks = []
     for k0 in range(0, steps, sde.BLOCK_STEPS):
         nb = min(sde.BLOCK_STEPS, steps - k0)
@@ -151,7 +151,7 @@ def test_single_trial_matches_trial_zero(fig1):
     assert np.abs(one[0] - batch[0]).max() <= 1e-12
 
 
-def test_noise_channels_match_dense_routing(fig1):
+def test_noise_rate_matches_dense_routing(fig1):
     """q is the last-component diagonal of G G^T for the dense per-edge noise
     routing G, with non-integer weights and an edge without noise; the
     receivers' noises are uncorrelated."""
@@ -172,7 +172,7 @@ def test_noise_channels_match_dense_routing(fig1):
     last = np.arange(len(fol)) * scen.plant.n + scen.plant.n - 1
     GG = (G @ G.T)[np.ix_(last, last)]
     assert np.array_equal(GG, np.diag(np.diag(GG)))
-    q = sde.noise_channels(scen, fol)
+    q = scen.noise_rate[fol]
     assert q.shape == (len(fol),)
     assert np.allclose(q, np.diag(GG), rtol=1e-14, atol=0.0)
 
