@@ -3,8 +3,8 @@
 Every subcommand resolves an output directory (``--out``, else the
 LEADFOLLOW_OUT environment variable, else ``./runs``), writes its artifacts
 there together with a ``manifest.json`` holding the resolved scenario document,
-seed, dt and tool version, and reflects pass/fail in the exit status where a
-check is involved.
+seed, dt, tool version, numpy version and BLAS build, and reflects pass/fail
+in the exit status where a check is involved.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ def _run_dir(out, subcommand: str, scen) -> Path:
     base = out or os.environ.get(OUT_ENV_VAR) or "runs"
     path = Path(base) / f"{subcommand}-{scen.fingerprint}"
     path.mkdir(parents=True, exist_ok=True)
+    # The build's BLAS; the kernel it picks at run time for this CPU is not recorded.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "subcommand": subcommand,
         "scenario_fingerprint": scen.fingerprint,
@@ -68,6 +70,8 @@ def _run_dir(out, subcommand: str, scen) -> Path:
         "dt": scen.dt,
         "trials": scen.trials,
         "tool_version": __version__,
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
     }
     with open(path / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -25,7 +25,8 @@ variance rate of each node.  ``leaderless`` must be a JSON boolean and
 ``monte_carlo`` may be left out (2 trials, seed 0); at most MAX_TRIALS trials
 and MAX_STEPS steps.
 Validation is aggregated: every failure is reported, not just the first, and
-each starts with the name of its section.
+each starts with the name of its section.  A key the shape above does not name
+is a failure, never dropped.
 
 The scenario is the only place that sets the sample times, the trial count and
 the noise seed; ``SimScenario.with_overrides`` derives one with other values.
@@ -245,6 +246,31 @@ def _non_finite_fields(node, path: str = "") -> list[str]:
     return list(dict.fromkeys(found))
 
 
+# The keys each object of a scenario document may hold, by dotted path; the
+# entries of a list share their list's path.
+_KEYS = {
+    "": ("graph", "plant", "gains", "noise", "init", "integration", "monte_carlo", "leaderless"),
+    "graph": ("weights", "leader"), "plant": ("alpha", "b"), "gains": ("beta", "agents"),
+    "noise": ("rho", "edges"), "noise.edges": ("to", "from", "rho"), "init": ("states",),
+    "integration": ("dt", "t_end", "sample_times"),
+    "integration.sample_times": ("kind", "start", "stop", "count"),
+    "monte_carlo": ("trials", "base_seed"),
+}
+
+
+def _unknown_keys(node, path: str) -> list[str]:
+    """Dotted paths of the keys below ``path`` that ``_KEYS`` does not name."""
+    if isinstance(node, list):
+        return [p for v in node for p in _unknown_keys(v, path)]
+    if not isinstance(node, dict) or path not in _KEYS:
+        return []
+    found = []
+    for key, value in node.items():
+        sub = f"{path}.{key}" if path else str(key)
+        found += [sub] if key not in _KEYS[path] else _unknown_keys(value, sub)
+    return found
+
+
 def scenario_from_dict(raw: dict) -> SimScenario:
     """Build and validate a scenario, aggregating every validation failure.
 
@@ -257,6 +283,8 @@ def scenario_from_dict(raw: dict) -> SimScenario:
     non_finite = _non_finite_fields(raw)
     failures = [f"{p.split('.')[0]}: non-finite value in {p}" for p in non_finite]
     failed = {p.split(".")[0] for p in non_finite}
+    failures += [f"{p.split('.')[0]}: unknown key {p}" if "." in p else f"{p}: unknown section"
+                 for p in dict.fromkeys(_unknown_keys(raw, ""))]
 
     def section(name, build, *needs):
         """build(raw[name]), or None with the failure listed.  A section that

@@ -32,12 +32,14 @@ nothing higher is warranted at desk scale.
 A batch of trials is split into contiguous trial ranges, one per usable CPU
 (``WORKERS``, from the process's CPU affinity; 1 where the platform has
 none), each at least 2 trials wide.  All but the last range run in children
-made with ``os.fork``, which write their rows straight into output arrays
-backed by anonymous shared mmaps; the parent runs the last range itself and
-then reaps every child.  Each range runs the serial code on its own streams
-and a slab of at least 2 rows, where BLAS takes the same matrix-matrix path as
-for the whole batch, so every trial's path is bit-identical to a serial run.
-A run with fewer than 4 trials is one range and never forks.
+made with ``os.fork``; the parent runs the last range itself and then reaps
+every child.  Shared memory is the one channel back: the output arrays live
+in anonymous shared mmaps, whatever the range count, and a child that fails
+leaves its exception's text (at most FAILURE_BYTES) in its range's field
+there and exits 1.  Each range runs the serial code on its own streams and a
+slab of at least 2 rows, where BLAS takes the same matrix-matrix path as for
+the whole batch, so every trial's path is bit-identical to a serial run.  A
+run with fewer than 4 trials is one range and never forks.
 
 A range whose state leaves the finite range stops there and records, per
 trial, the step it left at; ``_run`` reads that record after the split and
@@ -58,6 +60,8 @@ BLOCK_STEPS = 512
 
 # Worker processes a batch may use: one per CPU this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# Bytes a worker's failure text may take; a longer text is cut.
+FAILURE_BYTES = 4096
 
 
 class SimulationError(RuntimeError):
@@ -125,55 +129,10 @@ def _ranges(trials: int) -> list[range]:
     return [range(w * trials // workers, (w + 1) * trials // workers) for w in range(workers)]
 
 
-def _fork(job, part: range) -> tuple[int, int]:
-    """Start a worker on job(part); returns its pid and its report pipe's read
-    end.  The worker sends nothing on success and the exception's text on
-    failure."""
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if pid:
-        os.close(wfd)  # the child holds the only write end: its exit gives EOF
-        return pid, rfd
-    status = 1
-    try:
-        try:
-            job(part)
-            msg = b""
-        except Exception as exc:
-            msg = f"{type(exc).__name__}: {exc}".encode()
-        with os.fdopen(wfd, "wb") as fh:
-            fh.write(msg)
-        status = 0
-    finally:
-        # Never unwind into the parent's stack (under a test runner, the child
-        # would go on running the parent's session).
-        os._exit(status)
-
-
-def _reap(pid: int, rfd: int) -> tuple[bytes, int]:
-    """A child's report, read to EOF, and its wait status."""
-    try:
-        with os.fdopen(rfd, "rb") as fh:
-            msg = fh.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    return msg, status
-
-
-def _failure(part: range, msg: bytes, status: int) -> SimulationError | None:
-    """The error a child's report and wait status stand for, if any.  A
-    report is complete only when the child exited with status 0."""
-    where = f"worker for trials {part.start}-{part.stop - 1}"
-    if os.WIFSIGNALED(status):
-        return SimulationError(f"{where} was killed by signal {os.WTERMSIG(status)}")
-    if status:
-        return SimulationError(f"{where} exited with status {os.waitstatus_to_exitcode(status)}")
-    return SimulationError(f"{where} failed: {msg.decode()}") if msg else None
+def _shared(shape: tuple, dtype) -> np.ndarray:
+    """A zero-filled array in an anonymous map, shared with every child forked after."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize), dtype).reshape(shape)
 
 
 def _split(trials: int, shape: tuple, run) -> tuple[np.ndarray, np.ndarray]:
@@ -183,32 +142,45 @@ def _split(trials: int, shape: tuple, run) -> tuple[np.ndarray, np.ndarray]:
     *shape) output and the (trials,) int64 steps, 0 for a trial that stayed
     finite.
 
-    With more than one range, all but the last run in forked children that
-    write into shared memory, and the parent runs the last.  Every child is
-    reaped, also when the parent's range raised; a child's failure becomes a
-    SimulationError.
+    All but the last range run in forked children and the parent runs the
+    last.  A child hands back everything through shared memory: its rows, its
+    steps and, when its range raises, the exception's text, cut to
+    FAILURE_BYTES, before it exits 1.  Every child is reaped, also when a fork
+    or the parent's range raised; a child's failure becomes a SimulationError.
     """
     ranges = _ranges(trials)
-    if len(ranges) == 1:
-        out, first = np.empty((trials, *shape)), np.zeros(trials, dtype=np.int64)
-    else:
-        # Anonymous maps are shared with the children and start zero-filled.
-        out = np.frombuffer(mmap.mmap(-1, trials * int(np.prod(shape)) * 8)).reshape(trials, *shape)
-        first = np.frombuffer(mmap.mmap(-1, trials * 8), dtype=np.int64)
+    out, first = _shared((trials, *shape), np.float64), _shared((trials,), np.int64)
+    texts = _shared((len(ranges),), f"S{FAILURE_BYTES}")
 
     def job(part):
         run(part, out[part.start:part.stop], first[part.start:part.stop])
 
-    children = []
+    pids = []
     try:
-        for part in ranges[:-1]:
-            children.append((part, *_fork(job, part)))
+        for i, part in enumerate(ranges[:-1]):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    job(part)
+                    status = 0
+                except Exception as exc:
+                    texts[i] = f"{type(exc).__name__}: {exc}".encode(errors="replace")
+                finally:
+                    # Never unwind into the parent's stack (under a test runner,
+                    # the child would go on running the parent's session).
+                    os._exit(status)
+            pids.append(pid)
         job(ranges[-1])
     finally:
-        reports = [(part, *_reap(pid, rfd)) for part, pid, rfd in children]
-    for failure in (_failure(*report) for report in reports):
-        if failure is not None:
-            raise failure
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for part, text, status in zip(ranges, texts, statuses):
+        where = f"worker for trials {part.start}-{part.stop - 1}"
+        if os.WIFSIGNALED(status):
+            raise SimulationError(f"{where} was killed by signal {os.WTERMSIG(status)}")
+        if status:
+            raise SimulationError(f"{where} failed: {text.decode(errors='replace')}" if text else
+                                  f"{where} exited with status {os.waitstatus_to_exitcode(status)}")
     return out, first
 
 

@@ -50,6 +50,20 @@ def test_simulate_writes_trajectory_and_manifest(runner, small_config, tmp_path)
     assert len(lines) == 1 + 21 * 5 * 4
 
 
+def test_manifest_records_the_numeric_stack(runner, small_config, tmp_path):
+    """The manifest names numpy's version and the BLAS build numpy was linked
+    against, as numpy itself reports them."""
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["simulate", "--config", small_config, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((_single_run_dir(out) / "manifest.json").read_text())
+    assert manifest["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"],
+                                "openblas configuration": blas.get("openblas configuration")}
+    assert manifest["blas"]["name"]
+
+
 def test_moments_writes_both_series(runner, small_config, tmp_path):
     out = tmp_path / "out"
     res = runner.invoke(main, ["moments", "--config", small_config, "--out", str(out)])

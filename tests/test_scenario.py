@@ -61,6 +61,35 @@ def test_validation_aggregates_failures(fig1):
     assert len(exc.value.failures) >= 3
 
 
+def test_unknown_keys_listed_by_section(fig1):
+    """A misspelt key is never dropped: each unknown key, at the top level,
+    in a section, in a noise edge entry or in a sample-times spec, is a
+    failure of its own section, listed once."""
+    raw = json.loads(fig1.raw_json)
+    raw["noise"] = {"rho": 1.0, "edge": [{"to": 1, "from": 0, "rho": 1.0}]}
+    raw["monte_carlo"]["trails"] = 3
+    raw["integration"]["sample_time"] = [1.0]
+    raw["integration"]["sample_times"]["cont"] = 3
+    raw["graph"]["leeder"] = 0
+    raw["extra"] = {"trials": 1}
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict(raw)
+    assert sorted(exc.value.failures) == [
+        "extra: unknown section",
+        "graph: unknown key graph.leeder",
+        "integration: unknown key integration.sample_time",
+        "integration: unknown key integration.sample_times.cont",
+        "monte_carlo: unknown key monte_carlo.trails",
+        "noise: unknown key noise.edge",
+    ]
+    raw = json.loads(fig1.raw_json)
+    raw["noise"] = {"edges": [{"to": i, "from": j, "rho": 1.0, "rh": 0.0}
+                              for i, j in fig1.graph.edges()]}
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.failures == ["noise: unknown key noise.edges.rh"]
+
+
 NAN, INF = float("nan"), float("inf")
 
 

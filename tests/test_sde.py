@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -10,7 +11,7 @@ import leadfollow as lf
 from leadfollow import sde, verify
 from leadfollow.scenario import scenario_from_dict
 
-from conftest import dense_noise_routing, noiseless
+from conftest import dense_drift, dense_noise_routing, noiseless
 
 
 def test_noiseless_consensus(fig1):
@@ -291,6 +292,75 @@ def test_worker_failure_surfaces_and_is_reaped(fig1, monkeypatch, deadline, how)
     assert not isinstance(exc.value, sde.NonFiniteError)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_failure_midway_reaps_the_started_child(fig1, monkeypatch, deadline):
+    """With three ranges, a second fork that fails propagates its OSError, and
+    only after the child of the first fork was reaped."""
+    scen = _invariance_scenario(fig1)
+    fork, calls = os.fork, []
+
+    def failing_fork():
+        calls.append(os.getpid())
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(sde, "WORKERS", 3)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert len(sde._ranges(6)) == 3
+    with pytest.raises(OSError, match="fork refused"):
+        sde._run_full(scen, 5, 6)
+    assert calls == [os.getpid()] * 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_failure_text_is_cut_to_its_field(fig1, monkeypatch, deadline):
+    """A failure text longer than FAILURE_BYTES is cut to that length, and the
+    run still raises a SimulationError naming the worker's range."""
+    scen = _invariance_scenario(fig1)
+    parent, block = os.getpid(), sde._Noise.block
+
+    def failing(self, a_b):
+        if os.getpid() != parent:
+            raise RuntimeError("x" * (2 * sde.FAILURE_BYTES))
+        return block(self, a_b)
+
+    monkeypatch.setattr(sde, "WORKERS", 2)
+    monkeypatch.setattr(sde._Noise, "block", failing)
+    with pytest.raises(sde.SimulationError) as exc:
+        sde._run_full(scen, 5, 4)
+    prefix = "worker for trials 0-1 failed: "
+    assert str(exc.value) == prefix + ("RuntimeError: " + "x" * sde.FAILURE_BYTES)[:sde.FAILURE_BYTES]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_step_k_uses_the_gain_at_its_start(fig1):
+    """Step k takes the gains a(k dt) in both its drift and its noise: a
+    per-step loop on the dense drift of all nodes, with the leader stepped
+    too, and on the same Philox draws (keyed [seed, t], step-major) gives the
+    engine's follower paths to 1e-12 of their scale at dt = 0.01, where a(k dt)
+    and a((k + 1) dt) differ far above round-off."""
+    scen = fig1.with_overrides(dt=0.01, t_end=2.0, sample_times=np.linspace(0.0, 2.0, 201))
+    seed, trials, dt = 5, 2, scen.dt
+    fol, n = scen.graph.follower_indices, scen.plant.n
+    scale = np.sqrt(dt * scen.noise_rate[fol])
+    ref = np.empty((trials, scen.steps + 1, len(fol), n))
+    for t in range(trials):
+        xi = np.random.Generator(np.random.Philox(key=np.array([seed, t], np.uint64)))
+        xi = xi.standard_normal((scen.steps, len(fol)))
+        x = scen.init_states.reshape(-1).copy()
+        ref[t, 0] = scen.init_states[fol]
+        for k in range(scen.steps):
+            a = np.zeros(scen.graph.node_count)
+            a[fol] = scen.profile.gain_all(k * dt)
+            x = x + dt * (dense_drift(scen.plant, scen.lap.full, a) @ x)
+            x.reshape(-1, n)[fol, n - 1] += a[fol] * scale * xi[k]
+            ref[t, k + 1] = x.reshape(-1, n)[fol]
+    got = sde._run_full(scen, seed, trials)[:, :, fol]
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_merged_sample_times_fill_every_row(fig1):
