@@ -49,8 +49,8 @@ from .matrices import MAX_DIM, frozen_copy
 
 # Every trial has its own noise generator, built before the first step.
 MAX_TRIALS = 10 ** 6
-# The engine loops over the steps in Python, so a run's time grows with its
-# step count (nothing it holds does): 50 times fig2's 200k steps.
+# The engine loops over 16-step sub-blocks in Python, so a run's time grows
+# with its step count (nothing it holds does): 50 times fig2's 200k steps.
 MAX_STEPS = 10 ** 7
 
 

@@ -24,10 +24,15 @@ path for one row).  Both systems consume the same increments, so a shared
 Each step is X <- S_k X plus the increment (noise and, for followers, the
 leader forcing) on the last components, with S_k = I + dt F(a_k) built for a
 block of BLOCK_STEPS steps at once.  The block's gains a_k, noise and leader
-forcing are formed with it, from the step index alone, so a step's arithmetic
-does not depend on the block length, and nothing the engine holds grows with
-the horizon.  Additive noise makes plain Euler-Maruyama strong order 1.0;
-nothing higher is warranted at desk scale.
+forcing are formed with it, from the step index alone, and nothing the engine
+holds grows with the horizon.  The steps are affine, so they compose exactly:
+a block is whole sub-blocks of W steps (``integrate.W``), aligned to step 0
+as in ``integrate.rk4_path``, and each sub-block's W steps are applied as one
+composed map plus its carried increments, one Python turn per W steps.  Only
+the order of the floating-point operations differs from stepping one step at
+a time, and a sub-block's arithmetic does not depend on the block length.
+Additive noise makes plain Euler-Maruyama strong order 1.0; nothing higher is
+warranted at desk scale.
 
 A batch of trials is split into contiguous trial ranges, one per usable CPU
 (``WORKERS``, from the process's CPU affinity; 1 where the platform has
@@ -54,9 +59,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .integrate import W
 from .plant import ClosedLoopDrift, leader_closed_loop
 
-BLOCK_STEPS = 512
+BLOCK_STEPS = 256  # whole sub-blocks of W steps
 
 # Worker processes a batch may use: one per CPU this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -189,50 +195,96 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
     x0.shape[1] states each) under ``drift``, at the S sample times; returns
     (trials, S, *x0.shape), with the rows outside ``nodes`` left unset.
 
-    Each step is X <- X S_k^T, S_k = I + dt F(a_k), then each agent's last
-    component takes its noise increment plus, unless ``forcing`` is None,
-    a_k * forcing.  A block's transitions start from I + dt ``drift.base`` and
-    rebuild only the ``drift.last`` rows, the only ones the gains reach."""
+    Each step is X <- X S_k^T + V_k, S_k = I + dt F(a_k), where V_k gives each
+    agent's last component its noise increment plus, unless ``forcing`` is
+    None, a_k * forcing.  A block's transitions start from I + dt
+    ``drift.base`` and rebuild only the ``drift.last`` rows, the only ones the
+    gains reach.  The steps go in sub-blocks of W, aligned to step 0; only the
+    grid's last sub-block is padded, with identity maps and zero increments.
+    With Q_j = S_{j+1}^T ... S_{W-1}^T, a sub-block's W steps from X are
+
+        X <- X P + v G,    P = S_0^T Q_0,
+
+    with v (trials, W M) its increments and G (W M, D) the last-component rows
+    of its Q_j, stacked.  The Q_j of all of a block's sub-blocks are built
+    together, W - 1 stacked matmuls in all, and so are their v G; each
+    sub-block then costs one matmul in Python.  A sample inside a sub-block is
+    stepped to one step at a time from the sub-block's start."""
     n, dt, last = x0.shape[1], scen.dt, drift.last
-    M = last.size
-    wanted = scen.sample_steps()
-    at = {k: s_i for s_i, k in enumerate(wanted.tolist())}
+    M, D = last.size, drift.base.shape[0]
+    samples = scen.sample_steps()
+    # The sample steps, closed by one past every sub-block's end.
+    wanted = samples.tolist() + [scen.steps + W]
     scale = np.sqrt(dt) * np.sqrt(scen.noise_rate[scen.sim_nodes])
-    eye = np.eye(drift.base.shape[0])
+    eye = np.eye(D)
     phi = drift.base * dt + eye
+    subs = BLOCK_STEPS // W
 
     def run(part, rows, first):
         noise = _Noise(seed, part, scale)
         count = len(part)
-        S_buf = np.empty((BLOCK_STEPS,) + phi.shape)
+        S_buf = np.empty((BLOCK_STEPS, D, D))
         S_buf[...] = phi
-        bufs = (np.tile(x0[nodes].reshape(-1), (count, 1)), np.empty((count, M * n)))
-        tails = [X[:, n - 1::n] for X in bufs]
-        cur = 0
-        if 0 in at:
-            rows[:, at[0], nodes] = bufs[0].reshape(count, M, n)
+        Q, P, G = np.empty((2, subs, D, D)), np.empty((subs, D, D)), np.empty((subs, W, M, D))
+        G[:, W - 1] = eye[n - 1::n]
+        C = np.empty((subs, count, D))  # each sub-block's v G
+        X, Y = np.tile(x0[nodes].reshape(-1), (count, 1)), np.empty((count, D))
+
+        def store(state, i):
+            rows[:, i, nodes] = state.reshape(count, M, n)
+
+        nxt = 0  # the next sample
+        if wanted[0] == 0:
+            store(X, 0)
+            nxt = 1
         for k0 in range(0, scen.steps, BLOCK_STEPS):
             k1 = min(k0 + BLOCK_STEPS, scen.steps)
+            nb = k1 - k0
+            n_sub = -(-nb // W)
             a_b = scen.profile.gain_all(np.arange(k0, k1) * dt)
             v = noise.block(a_b)
             if forcing is not None:
                 v += a_b * forcing
-            S = S_buf[:k1 - k0]
-            S[:, last, :] = (drift.base[last] - a_b[:, :, None] * drift.coupling) * dt + eye[last]
-            start = bufs[cur].copy()
-            for k in range(k1 - k0):
-                nxt = 1 - cur
-                np.matmul(bufs[cur], S[k].T, out=bufs[nxt])
-                np.add(tails[nxt], v[:, k], out=tails[nxt])
-                cur = nxt
-                s_i = at.get(k0 + k + 1)
-                if s_i is not None:
-                    rows[:, s_i, nodes] = bufs[cur].reshape(count, M, n)
-            if not np.isfinite(bufs[cur]).all():
-                _first_nonfinite(start, S, v, n, k0, first)
+            V = noise.buf[:, :n_sub * W]
+            V[:, nb:] = 0.0
+            S = S_buf[:n_sub * W]
+            S[:nb, last, :] = (drift.base[last] - a_b[:, :, None] * drift.coupling) * dt + eye[last]
+            S[nb:] = eye
+            # Q_{W-2} = S_{W-1}^T, then Q_{j-1} = S_j^T Q_j down to P, for every
+            # sub-block at once, alternating between the two Q buffers.
+            St = S.reshape(n_sub, W, D, D).swapaxes(-1, -2)
+            Qj = St[:, W - 1]
+            for j in range(W - 2, -1, -1):
+                G[:n_sub, j] = Qj[:, n - 1::n]
+                Qj = np.matmul(St[:, j], Qj, out=Q[j % 2, :n_sub] if j else P[:n_sub])
+            v_subs = V.reshape(count, n_sub, W * M).swapaxes(0, 1)
+            np.matmul(v_subs, G[:n_sub].reshape(n_sub, W * M, D), out=C[:n_sub])
+            start = X.copy()
+            for s in range(n_sub):
+                k = k0 + s * W
+                end = k + W
+                np.matmul(X, P[s], out=Y)
+                Y += C[s]
+                Z = X  # stepped one step at a time to each sample inside
+                while wanted[nxt] < end:
+                    for k in range(k, wanted[nxt]):
+                        Z = Z @ S[k - k0].T
+                        Z[:, n - 1::n] += V[:, k - k0]
+                    k = wanted[nxt]
+                    store(Z, nxt)
+                    nxt += 1
+                if wanted[nxt] == end:
+                    store(Y, nxt)
+                    nxt += 1
+                X, Y = Y, X
+            if not np.isfinite(X).all():
+                _first_nonfinite(start, S[:nb], v, n, k0, first)
+                if not first.any():
+                    # The composed state left the finite range where no single step did.
+                    first[~np.isfinite(X).all(axis=1)] = k1
                 return
 
-    out, first = _split(trials, (wanted.size, *x0.shape), run)
+    out, first = _split(trials, (samples.size, *x0.shape), run)
     if first.any():
         # The earliest step any trial left the finite range, and every trial that did then.
         step = int(first[first > 0].min())

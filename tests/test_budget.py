@@ -1,5 +1,5 @@
-"""The tracked size budget of ``src/leadfollow``: parameters with defaults;
-and no unused imports in the package or its tests."""
+"""The tracked size budget of ``src/leadfollow``: its line count and its
+parameters with defaults; and no unused imports in the package or its tests."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,7 @@ from pathlib import Path
 import leadfollow
 
 MAX_DEFAULTS = 11
+MAX_LINES = 2336
 PACKAGE = Path(leadfollow.__file__).parent
 TESTS = Path(__file__).parent
 
@@ -25,6 +26,14 @@ def test_defaults_within_budget():
     assert files
     count = sum(_defaults(ast.parse(f.read_text())) for f in files)
     assert count <= MAX_DEFAULTS
+
+
+def test_src_lines_within_budget():
+    """The package's line count is a tracked number; it may only fall."""
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    count = sum(len(f.read_text().splitlines()) for f in files)
+    assert count <= MAX_LINES
 
 
 def _unused_imports(tree) -> list[str]:

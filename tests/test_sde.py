@@ -128,14 +128,15 @@ def test_trials_invariant_to_trial_count(fig1):
 
 def test_trials_invariant_to_block_steps(fig1, fig2, monkeypatch):
     """Each stream is consumed step-major and the gains and leader forcing are
-    formed per block from the step index alone, so the block size changes
-    nothing, also with block boundaries that split no sample interval evenly."""
+    formed per block from the step index alone, and a block is whole
+    sub-blocks aligned to step 0, so the block size changes nothing, also with
+    block boundaries that split no sample interval evenly."""
     scen = _invariance_scenario(fig1)
     leaderless = fig2.with_overrides(t_end=2.0, sample_times=np.linspace(0.0, 2.0, 21))
-    assert sde.BLOCK_STEPS == 512
+    assert sde.BLOCK_STEPS == 256
     full, red = sde._run_full(scen, 5, 4), sde._run_reduced(scen, 5, 4)
     free = sde._run_full(leaderless, 5, 4)
-    for block_steps in (256, 7):
+    for block_steps in (512, 112):
         monkeypatch.setattr(sde, "BLOCK_STEPS", block_steps)
         assert np.array_equal(sde._run_full(scen, 5, 4), full)
         assert np.array_equal(sde._run_reduced(scen, 5, 4), red)
@@ -194,6 +195,41 @@ def test_nonfinite_error_names_first_step(fig1):
         t_before = exc.value.t - scen.dt
         before = scen.with_overrides(t_end=t_before, sample_times=[t_before])
         assert np.isfinite(sde._run_full(before, 1, 3)).all()
+
+
+def _overflowing(fig1, t_end, sample_times):
+    """fig1 with a finite but huge follower state, which leaves the finite
+    range at step 134 in every trial."""
+    raw = json.loads(fig1.raw_json)
+    raw["init"]["states"][2] = [1e308] * 4
+    raw["integration"]["t_end"] = t_end
+    raw["integration"]["sample_times"] = sample_times
+    return scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("t_end, sample_times",
+                         [(0.14, [0.0, 0.133, 0.135]), (0.134, [0.0, 0.133])])
+def test_nonfinite_in_the_padded_last_sub_block(fig1, t_end, sample_times, trials):
+    """Step 134 lies in the grid's last sub-block (steps 128-143, padded past
+    the horizon), between two samples there, or as the grid's last step; the
+    error names that step and every trial."""
+    scen = _overflowing(fig1, t_end, sample_times)
+    message = rf"t = 0\.134 in {trials} trial\(s\): {', '.join(map(str, range(trials)))}$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(sde.NonFiniteError, match=message):
+            sde._run_full(scen, 1, trials)
+
+
+def test_nonfinite_block_raises_when_its_replay_finds_no_step(fig1, monkeypatch):
+    """A block whose composed state is non-finite raises even if the step by
+    step replay finds no step: the block's last step is named, with every
+    trial whose state is non-finite, and no path is returned with unset rows."""
+    scen = _overflowing(fig1, 0.14, [0.0, 0.133, 0.135])
+    monkeypatch.setattr(sde, "_first_nonfinite", lambda *args: None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(sde.NonFiniteError, match=r"t = 0\.14 in 3 trial\(s\): 0, 1, 2$"):
+            sde._run_full(scen, 1, 3)
 
 
 @pytest.fixture
@@ -360,6 +396,41 @@ def test_step_k_uses_the_gain_at_its_start(fig1):
             x.reshape(-1, n)[fol, n - 1] += a[fol] * scale * xi[k]
             ref[t, k + 1] = x.reshape(-1, n)[fol]
     got = sde._run_full(scen, seed, trials)[:, :, fol]
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("run, trials", [("reduced", 1), ("reduced", 2), ("full", 1)])
+def test_engines_follow_a_per_step_reference(fig1, run, trials):
+    """The reduced chain e <- e - dt diag(a(k dt)) L2 e + a(k dt) sqrt(dt q)
+    xi_k, and the full chain on the dense drift of all nodes, stepped one step
+    at a time on the same Philox draws (keyed [seed, t], step-major), give the
+    engines' paths to 1e-12 of their scale at every step, also for a single
+    trial and over 207 steps, no whole number of 16-step sub-blocks."""
+    scen = fig1.with_overrides(dt=0.01, t_end=2.07, sample_times=np.linspace(0.0, 2.07, 208))
+    assert np.array_equal(scen.sample_steps(), np.arange(208))
+    seed, dt = 5, scen.dt
+    fol, lead, n = scen.graph.follower_indices, scen.graph.leader_index, scen.plant.n
+    scale = np.sqrt(dt * scen.noise_rate[fol])
+    ref = np.empty((trials, scen.steps + 1) + ((len(fol),) if run == "reduced" else (len(fol), n)))
+    for t in range(trials):
+        xi = np.random.Generator(np.random.Philox(key=np.array([seed, t], np.uint64)))
+        xi = xi.standard_normal((scen.steps, len(fol)))
+        e = (scen.init_states[fol] - scen.init_states[lead]) @ scen.plant.K2[0]
+        x = scen.init_states.reshape(-1).copy()
+        ref[t, 0] = e if run == "reduced" else scen.init_states[fol]
+        for k in range(scen.steps):
+            a = scen.profile.gain_all(k * dt)
+            if run == "reduced":
+                e = e - dt * a * (scen.lap.L2 @ e) + a * scale * xi[k]
+                ref[t, k + 1] = e
+            else:
+                a_all = np.zeros(scen.graph.node_count)
+                a_all[fol] = a
+                x = x + dt * (dense_drift(scen.plant, scen.lap.full, a_all) @ x)
+                x.reshape(-1, n)[fol, n - 1] += a * scale * xi[k]
+                ref[t, k + 1] = x.reshape(-1, n)[fol]
+    got = (sde._run_reduced(scen, seed, trials) if run == "reduced"
+           else sde._run_full(scen, seed, trials)[:, :, fol])
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
