@@ -1,14 +1,17 @@
 """Command line front end: scenario runs, verification, figure reproductions.
 
-Every subcommand resolves an output directory (``--out``, else the
-LEADFOLLOW_OUT environment variable, else ``./runs``), writes its artifacts
-there together with a ``manifest.json`` holding the resolved scenario document,
-seed, dt, tool version, numpy version and BLAS build, and reflects pass/fail
-in the exit status where a check is involved.
+Every subcommand runs the computations that may refuse its scenario before
+it resolves an output directory (``--out``, else the LEADFOLLOW_OUT
+environment variable, else ``./runs``), writes its artifacts there together
+with a ``manifest.json`` holding the resolved scenario document, seed, dt,
+tool version, numpy version and BLAS build, and reflects pass/fail in the
+exit status where a check is involved.  A refusal (``UnsuitedError``) ends
+the command with one ``Error:`` line and exit status 1, and nothing written.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -19,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .moments import evolve_moments
-from .rates import MIN_TRIALS, envelope_check, monte_carlo_moments
-from .scenario import ParseError, ValidationError, load_preset, load_scenario
+from .rates import envelope_check, monte_carlo_moments
+from .scenario import ParseError, UnsuitedError, ValidationError, load_preset, load_scenario
 from .sde import simulate_full, trajectory_to_csv
 from .verify import oracle_deviation_sigmas, run_battery
 
@@ -38,21 +41,6 @@ def _resolve_scenario(config, preset, trials, seed, dt):
         lines = "\n  ".join(exc.failures)
         raise click.ClickException(f"config validation failed:\n  {lines}")
     return scen
-
-
-def _require_leader(scen, needs: str) -> None:
-    if scen.leaderless:
-        raise click.ClickException(
-            f"scenario {scen.fingerprint}: {needs} a leader-following scenario"
-        )
-
-
-def _require_trials(scen) -> None:
-    if scen.trials < MIN_TRIALS:
-        raise click.ClickException(
-            f"scenario {scen.fingerprint}: Monte Carlo moments need --trials >= {MIN_TRIALS}, "
-            f"got {scen.trials}"
-        )
 
 
 def _run_dir(out, subcommand: str, scen) -> Path:
@@ -87,7 +75,16 @@ def _report(path: Path, lines, ok: bool) -> None:
     sys.exit(0 if ok else 1)
 
 
-def _common(f):
+def _common(command):
+    """The options every subcommand takes, and one ``Error:`` line with exit
+    status 1 for a scenario the command's computation refuses."""
+    @functools.wraps(command)
+    def f(**kwargs):
+        try:
+            return command(**kwargs)
+        except UnsuitedError as exc:
+            raise click.ClickException(str(exc)) from exc
+
     f = click.option("--config", type=click.Path(exists=True, dir_okay=False),
                      default=None, help="Scenario config file (JSON).")(f)
     f = click.option("--trials", type=int, default=None,
@@ -112,8 +109,8 @@ def main():
 def simulate(config, trials, seed, dt, out):
     """Run one noisy trial and write the sampled trajectory as CSV."""
     scen = _resolve_scenario(config, "fig1", trials, seed, dt)
-    run_dir = _run_dir(out, "simulate", scen)
     traj = simulate_full(scen, scen.base_seed)
+    run_dir = _run_dir(out, "simulate", scen)
     trajectory_to_csv(traj, run_dir / "trajectory.csv")
     click.echo(f"trajectory: {run_dir / 'trajectory.csv'}")
 
@@ -123,11 +120,9 @@ def simulate(config, trials, seed, dt, out):
 def moments(config, trials, seed, dt, out):
     """Write Monte Carlo and exact-oracle moment series as CSV."""
     scen = _resolve_scenario(config, "fig1", trials, seed, dt)
-    _require_leader(scen, "moments require")
-    _require_trials(scen)
-    run_dir = _run_dir(out, "moments", scen)
     mc = monte_carlo_moments(scen)
     oracle = evolve_moments(scen)
+    run_dir = _run_dir(out, "moments", scen)
     mc.to_csv(run_dir / "moments_mc.csv")
     oracle.to_csv(run_dir / "moments_oracle.csv")
     dev = oracle_deviation_sigmas(mc, oracle)
@@ -141,10 +136,8 @@ def moments(config, trials, seed, dt, out):
 def verify(config, trials, seed, dt, out):
     """Run the full property battery; exit 0 only if every check passes."""
     scen = _resolve_scenario(config, "fig1", trials, seed, dt)
-    _require_leader(scen, "verification requires")
-    _require_trials(scen)
-    run_dir = _run_dir(out, "verify", scen)
     report = run_battery(scen)
+    run_dir = _run_dir(out, "verify", scen)
     _report(run_dir / "verify_report.txt", report.lines(), report.all_passed)
 
 
@@ -155,12 +148,10 @@ def reproduce_fig1(config, trials, seed, dt, out):
     checked against the decaying envelope; exit 0 iff the violation fraction
     stays within the threshold for every follower."""
     scen = _resolve_scenario(config, "fig1", trials, seed, dt)
-    _require_leader(scen, "reproduce-fig1 requires")
-    _require_trials(scen)
-    run_dir = _run_dir(out, "reproduce-fig1", scen)
     mc = monte_carlo_moments(scen)
-    mc.to_csv(run_dir / "moments_mc.csv")
     frac = envelope_check(mc, C=5.0, beta=scen.profile.beta, t_min=5.0)
+    run_dir = _run_dir(out, "reproduce-fig1", scen)
+    mc.to_csv(run_dir / "moments_mc.csv")
     lines = [f"scenario: {scen.fingerprint}",
              f"envelope: 5 * t^(-{scen.profile.beta:g}), t >= 5",
              "threshold: violation fraction <= 0.2 per follower"]
@@ -179,12 +170,15 @@ def reproduce_fig2(config, trials, seed, dt, out):
     """State-norm growth report for the leaderless counterexample; exit 0 iff
     some agent's tail-mean norm exceeds its head-mean norm."""
     scen = _resolve_scenario(config, "fig2", trials, seed, dt)
-    run_dir = _run_dir(out, "reproduce-fig2", scen)
+    head_window = scen.sample_times <= 10.0
+    if not head_window.any():
+        raise click.ClickException("reproduce-fig2 needs a sample time in its head window [0, 10]")
     traj = simulate_full(scen, scen.base_seed)
+    run_dir = _run_dir(out, "reproduce-fig2", scen)
     trajectory_to_csv(traj, run_dir / "trajectory.csv")
     t = traj.times
     norms = np.linalg.norm(traj.states, axis=2)
-    head = norms[(t >= 0) & (t <= 10.0)].mean(axis=0)
+    head = norms[head_window].mean(axis=0)
     tail = norms[t >= t.max() - 50.0].mean(axis=0)
     grew = tail > head
     # Pairwise gaps can stay bounded even while every individual norm grows.

@@ -19,7 +19,7 @@ start state then needs one matmul in Python, and the wanted states come from
 their sub-block's start state in one more stacked matmul, so a block of 256
 steps costs about 31 Python turns instead of 256.  Every state is the same
 product of the same maps whatever the block length, so results do not depend
-on SUBS.
+on SUBS.  The Euler-Maruyama engine in ``sde`` steps in the same blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 W = 16  # steps per sub-block
-SUBS = 16  # sub-blocks per block
+SUBS = 16  # sub-blocks per block, here and in sde
 
 
 def _rk4_maps(M0, Mh, M1, h) -> np.ndarray:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .integrate import rk4_path
+from .scenario import UnsuitedError
 from .series import MomentSeries
 
 PSD_HARD_TOL = -1e-6
@@ -111,7 +112,7 @@ def evolve_moments(scen) -> MomentSeries:
     NonPSDError names the earliest sample whose covariance fails it.
     """
     if scen.leaderless:
-        raise ValueError("moment oracle requires a leader-following scenario")
+        raise UnsuitedError("the moment oracle requires a leader-following scenario")
     h_max = max_step(scen)
     mean_err, P = _propagate(scen, h_max)
     lam_min = np.linalg.eigvalsh(0.5 * (P + P.swapaxes(-1, -2)))[:, 0]

@@ -24,10 +24,11 @@ from . import sde
 from .integrate import rk4_path
 from .matrices import companion
 from .plant import require_hurwitz
+from .scenario import UnsuitedError
 from .series import MomentSeries
 
 
-class WindowTooNarrowError(ValueError):
+class WindowTooNarrowError(UnsuitedError):
     pass
 
 
@@ -42,10 +43,10 @@ def monte_carlo_moments(scen) -> MomentSeries:
     """Sample means of the follower errors and squared errors over the
     scenario's trials, at its sample times."""
     if scen.leaderless:
-        raise ValueError("Monte Carlo moments require a leader-following scenario")
+        raise UnsuitedError("Monte Carlo moments require a leader-following scenario")
     trials = scen.trials
     if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials for a variance estimate")
+        raise UnsuitedError(f"Monte Carlo moments need trials >= {MIN_TRIALS}, got {trials}")
     states = sde._run_full(scen, scen.base_seed, trials)
     fol = scen.graph.follower_indices
     lead = scen.graph.leader_index
@@ -93,7 +94,7 @@ def envelope_check(series: MomentSeries, C: float, beta: float, t_min: float) ->
     """Per-follower fraction of sample times t >= t_min with mse > C t^(-beta)."""
     mask = (series.times >= t_min) & (series.times > 0)
     if not mask.any():
-        raise ValueError("t_min beyond the sampled horizon")
+        raise UnsuitedError(f"the envelope check needs a sample time t >= {t_min:g}")
     tt = series.times[mask]
     bound = C * tt ** (-beta)
     viol = series.mse[mask] > bound[:, None]

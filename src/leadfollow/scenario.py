@@ -64,6 +64,10 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.failures))
 
 
+class UnsuitedError(ValueError):
+    """A valid scenario that a computation cannot take; the message says what it needs."""
+
+
 @dataclass(frozen=True)
 class SimScenario:
     graph: topology.Digraph
@@ -302,7 +306,7 @@ def scenario_from_dict(raw: dict) -> SimScenario:
     leaderless = section("leaderless", _boolean) if "leaderless" in raw else False
     graph = section("graph", lambda cfg: topology.build_digraph(
         cfg["weights"], _integer(cfg.get("leader", 0), "leader"),
-        allow_leader_neighbors=leaderless))
+        allow_leader_neighbors=leaderless), "leaderless")
     plant = section("plant", lambda cfg: plant_mod.build_plant(cfg["alpha"], cfg["b"]))
     profile = section("gains", lambda cfg: _gain_profile(cfg, graph, leaderless))
     noise_rate = section("noise", lambda cfg: _noise_rate(cfg, graph, plant), "graph", "plant")

@@ -16,21 +16,22 @@ state, as a_i(t) sqrt(q_i) dB_i in law, with q_i its noise variance rate
 ``SimScenario.noise_rate``: the engine draws one standard normal per simulated
 agent per step and nothing else.  Trial t draws from its own counter-based
 stream, Philox keyed on [base_seed, t], step-major (all agents of step k, then
-step k + 1), so a trial's path depends neither on BLOCK_STEPS nor on the trial
-count (a one-trial run differs by round-off only: BLAS takes a matrix-vector
-path for one row).  Both systems consume the same increments, so a shared
-(scenario, seed) pair yields pathwise-consistent paths.
+step k + 1), so a trial's path depends neither on the block length nor on the
+trial count (a one-trial run differs by round-off only: BLAS takes a
+matrix-vector path for one row).  Both systems consume the same increments,
+so a shared (scenario, seed) pair yields pathwise-consistent paths.
 
 Each step is X <- S_k X plus the increment (noise and, for followers, the
 leader forcing) on the last components, with S_k = I + dt F(a_k) built for a
-block of BLOCK_STEPS steps at once.  The block's gains a_k, noise and leader
-forcing are formed with it, from the step index alone, and nothing the engine
-holds grows with the horizon.  The steps are affine, so they compose exactly:
-a block is whole sub-blocks of W steps (``integrate.W``), aligned to step 0
-as in ``integrate.rk4_path``, and each sub-block's W steps are applied as one
-composed map plus its carried increments, one Python turn per W steps.  Only
-the order of the floating-point operations differs from stepping one step at
-a time, and a sub-block's arithmetic does not depend on the block length.
+block of steps at once.  The block's gains a_k, noise and leader forcing are
+formed with it, from the step index alone, and nothing the engine holds grows
+with the horizon.  The steps are affine, so they compose exactly: a block is
+SUBS whole sub-blocks of W steps (``integrate.SUBS``, read at call time, and
+``integrate.W``), the blocks of ``integrate.rk4_path``, aligned to step 0, and
+each sub-block's W steps are applied as one composed map plus its carried
+increments, one Python turn per W steps.  Only the order of the
+floating-point operations differs from stepping one step at a time, and a
+sub-block's arithmetic does not depend on the block length.
 Additive noise makes plain Euler-Maruyama strong order 1.0; nothing higher is
 warranted at desk scale.
 
@@ -59,10 +60,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import integrate
 from .integrate import W
 from .plant import ClosedLoopDrift, leader_closed_loop
-
-BLOCK_STEPS = 256  # whole sub-blocks of W steps
+from .series import write_csv
 
 # Worker processes a batch may use: one per CPU this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -102,15 +103,12 @@ class _Noise:
         self.streams = [np.random.Generator(np.random.Philox(key=np.array([seed, t], np.uint64)))
                         for t in trials]
         self.scale = scale  # (M,) sqrt(dt q): the increment's standard deviation at gain 1
-        self.buf = np.empty((len(trials), BLOCK_STEPS, scale.size))
+        self.buf = np.empty((len(trials), integrate.SUBS * W, scale.size))
 
     def block(self, a_b: np.ndarray) -> np.ndarray:
         """Increments (trials, nb, M) of the next nb = len(a_b) steps; trial t
         fills its slab step-major from its own stream."""
         buf = self.buf[:, :a_b.shape[0]]
-        if not self.scale.any():
-            buf[...] = 0.0
-            return buf
         for stream, slab in zip(self.streams, buf):
             stream.standard_normal(out=slab)
         buf *= self.scale * a_b
@@ -218,12 +216,12 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
     scale = np.sqrt(dt) * np.sqrt(scen.noise_rate[scen.sim_nodes])
     eye = np.eye(D)
     phi = drift.base * dt + eye
-    subs = BLOCK_STEPS // W
+    subs = integrate.SUBS
 
     def run(part, rows, first):
         noise = _Noise(seed, part, scale)
         count = len(part)
-        S_buf = np.empty((BLOCK_STEPS, D, D))
+        S_buf = np.empty((subs * W, D, D))
         S_buf[...] = phi
         Q, P, G = np.empty((2, subs, D, D)), np.empty((subs, D, D)), np.empty((subs, W, M, D))
         G[:, W - 1] = eye[n - 1::n]
@@ -237,8 +235,8 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
         if wanted[0] == 0:
             store(X, 0)
             nxt = 1
-        for k0 in range(0, scen.steps, BLOCK_STEPS):
-            k1 = min(k0 + BLOCK_STEPS, scen.steps)
+        for k0 in range(0, scen.steps, subs * W):
+            k1 = min(k0 + subs * W, scen.steps)
             nb = k1 - k0
             n_sub = -(-nb // W)
             a_b = scen.profile.gain_all(np.arange(k0, k1) * dt)
@@ -335,13 +333,9 @@ def simulate_reduced(scen, seed: int) -> Trajectory:
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """CSV export with one row per sample per state component."""
-    with open(path, "w") as fh:
-        fh.write("t,node,component,value\n")
-        states = traj.states
-        if states.ndim == 2:  # reduced: one scalar per follower
-            states = states[:, :, None]
-        for s_i, t in enumerate(traj.times):
-            for node in range(states.shape[1]):
-                for comp in range(states.shape[2]):
-                    fh.write(f"{t:.17g},{node},{comp},{states[s_i, node, comp]:.17g}\n")
+    """CSV export with one row per sample per state component; a reduced path
+    has one component per follower."""
+    states = traj.states.reshape(*traj.states.shape[:2], -1)
+    s, node, comp = np.indices(states.shape).reshape(3, -1)
+    write_csv(path, {"t": traj.times[s], "node": node, "component": comp,
+                     "value": states.ravel()})

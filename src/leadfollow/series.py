@@ -43,20 +43,23 @@ class MomentSeries:
         return (self.times >= t_lo) & (self.times <= t_hi)
 
     def to_csv(self, path) -> None:
-        n = self.mean_err.shape[2]
-        cols = ["t", "follower"] + [f"mean_err_{k + 1}" for k in range(n)] + ["mse"]
+        """One row per sample time per follower, time-major."""
+        s, f = np.indices(self.mse.shape).reshape(2, -1)
+        cols = {"t": self.times[s], "follower": np.asarray(self.follower_ids)[f]}
+        cols.update({f"mean_err_{k + 1}": self.mean_err[..., k].ravel()
+                     for k in range(self.mean_err.shape[2])})
+        cols["mse"] = self.mse.ravel()
         if self.halfwidth is not None:
-            cols.append("mse_halfwidth")
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for s, t in enumerate(self.times):
-                for f, fid in enumerate(self.follower_ids):
-                    row = [f"{t:.17g}", str(fid)]
-                    row += [f"{v:.17g}" for v in self.mean_err[s, f]]
-                    row.append(f"{self.mse[s, f]:.17g}")
-                    if self.halfwidth is not None:
-                        row.append(f"{self.halfwidth[s, f]:.17g}")
-                    fh.write(",".join(row) + "\n")
+            cols["mse_halfwidth"] = self.halfwidth.ravel()
+        write_csv(path, cols)
+
+
+def write_csv(path, columns: dict) -> None:
+    """Write the equal-length 1-D ``columns`` under a header of their names:
+    integer columns as %d, the rest as %.17g, which round-trips a float64."""
+    fmt = ["%d" if col.dtype.kind in "iu" else "%.17g" for col in columns.values()]
+    np.savetxt(path, np.column_stack(list(columns.values())), fmt=fmt, delimiter=",",
+               header=",".join(columns), comments="")
 
 
 def from_csv(path) -> MomentSeries:

@@ -22,6 +22,7 @@ from .rates import (
     filter_response, fit_power_law, jordan_transition, jordan_transition_ode,
     monte_carlo_moments, transition_bound_check,
 )
+from .scenario import UnsuitedError
 
 SPECTRUM_GRAPHS = 100
 SPECTRUM_DIAGONALS = 10
@@ -228,7 +229,7 @@ def run_battery(scen, mc=None, oracle=None) -> VerifyReport:
     must correspond to the same scenario).
     """
     if scen.leaderless:
-        raise ValueError("the verification battery requires a leader-following scenario")
+        raise UnsuitedError("the verification battery requires a leader-following scenario")
     if mc is None:
         mc = monte_carlo_moments(scen)
     if oracle is None:

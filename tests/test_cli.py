@@ -156,7 +156,39 @@ def test_single_trial_rejected(runner, small_config, tmp_path, subcommand):
                                "--out", str(out)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert "--trials >= 2" in res.output
+    assert "trials >= 2" in res.output
+    assert not out.exists()
+
+
+def _linspace(t_end, start, count):
+    return {"dt": 0.001, "t_end": t_end,
+            "sample_times": {"kind": "linspace", "start": start, "stop": t_end, "count": count}}
+
+
+@pytest.mark.parametrize("subcommand, preset, integration, needs", [
+    pytest.param("reproduce-fig1", "fig1", _linspace(4.0, 0.0, 9), "sample time t >= 5",
+                 id="reproduce-fig1"),
+    pytest.param("verify", "fig1", _linspace(2.0, 0.0, 5), "need >= 8 points over >= 0.6 decades",
+                 id="verify"),
+    pytest.param("reproduce-fig2", "fig2", _linspace(60.0, 20.0, 41), "head window [0, 10]",
+                 id="reproduce-fig2"),
+])
+def test_unsuited_scenario_refused(runner, tmp_path, subcommand, preset, integration, needs):
+    """A valid scenario that the command cannot take (no sample in the
+    envelope window, a slope window too narrow, no sample in the head window)
+    is refused in one line naming the requirement, without a traceback and
+    before any file is written."""
+    raw = json.loads(preset_path(preset).read_text())
+    raw["integration"] = integration
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [subcommand, "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ") and needs in lines[0], res.output
     assert not out.exists()
 
 

@@ -210,6 +210,16 @@ def test_malformed_field_listed(fig1, path, value, failure):
     assert exc.value.failures[0].startswith(failure)
 
 
+def test_malformed_leaderless_flag_listed_alone(fig2):
+    """A non-boolean leaderless flag is the one failure: the graph, which
+    needs the flag, is not built as leader-following in its place."""
+    raw = json.loads(fig2.raw_json)
+    raw["leaderless"] = "yes"
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.failures == ["leaderless: expected true or false, got 'yes'"]
+
+
 def test_integral_floats_accepted(fig1):
     """A JSON float with no fractional part is the integer it spells."""
     raw = json.loads(fig1.raw_json)
@@ -431,6 +441,63 @@ def test_moment_series_csv_roundtrip(fig1, tmp_path):
     assert np.array_equal(back.times, mc.times)
     assert np.array_equal(back.mse, mc.mse)
     assert np.array_equal(back.mean_err, mc.mean_err)
+
+
+def _trajectory_csv_reference(traj) -> str:
+    """Per-value reference for ``trajectory_to_csv``: a reduced path is one
+    component per follower."""
+    states = traj.states if traj.states.ndim == 3 else traj.states[:, :, None]
+    lines = ["t,node,component,value"]
+    for s, t in enumerate(traj.times):
+        for node in range(states.shape[1]):
+            for comp in range(states.shape[2]):
+                lines.append(f"{t:.17g},{node},{comp},{states[s, node, comp]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _series_csv_reference(series) -> str:
+    """Per-value reference for ``MomentSeries.to_csv``."""
+    n = series.mean_err.shape[2]
+    cols = ["t", "follower"] + [f"mean_err_{k + 1}" for k in range(n)] + ["mse"]
+    if series.halfwidth is not None:
+        cols.append("mse_halfwidth")
+    lines = [",".join(cols)]
+    for s, t in enumerate(series.times):
+        for f, fid in enumerate(series.follower_ids):
+            row = [f"{t:.17g}", str(fid)] + [f"{v:.17g}" for v in series.mean_err[s, f]]
+            row.append(f"{series.mse[s, f]:.17g}")
+            if series.halfwidth is not None:
+                row.append(f"{series.halfwidth[s, f]:.17g}")
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_VALUES = [-0.0, np.nan, 1e-300, 1e300]
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced", "monte_carlo", "oracle"])
+def test_csv_bytes_match_per_value_reference(fig1, tmp_path, kind):
+    """Trajectories and moment series go through one CSV writer whose bytes
+    are those of formatting every value as f"{x:.17g}" and every id as an
+    integer, also for -0.0, nan and the extremes of the float range."""
+    scen = fig1.with_overrides(t_end=1.0, trials=4, sample_times=[0.25, 0.5, 1.0])
+    path = tmp_path / "out.csv"
+    if kind in ("full", "reduced"):
+        traj = (lf.simulate_full if kind == "full" else lf.simulate_reduced)(scen, 2)
+        states = traj.states.copy()
+        states.flat[:4] = SPECIAL_VALUES
+        traj = dataclasses.replace(traj, states=states)
+        lf.sde.trajectory_to_csv(traj, path)
+        reference = _trajectory_csv_reference(traj)
+    else:
+        series = (lf.monte_carlo_moments if kind == "monte_carlo" else lf.evolve_moments)(scen)
+        mean_err, mse = series.mean_err.copy(), series.mse.copy()
+        mean_err.flat[:4] = SPECIAL_VALUES
+        mse.flat[:3] = [-0.0, 1e-300, 1e300]
+        series = dataclasses.replace(series, mean_err=mean_err, mse=mse)
+        series.to_csv(path)
+        reference = _series_csv_reference(series)
+    assert path.read_bytes() == reference.encode()
 
 
 def _oracle_csv_lines(fig1, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import leadfollow as lf
-from leadfollow import sde, verify
+from leadfollow import integrate, sde, verify
 from leadfollow.scenario import scenario_from_dict
 
 from conftest import dense_drift, dense_noise_routing, noiseless
@@ -101,9 +101,10 @@ def test_noise_channel_independence():
     consumes them."""
     trials, M, steps = 6, 4, 100000
     noise = sde._Noise(123, range(trials), np.ones(M))
+    block = integrate.SUBS * integrate.W
     chunks = []
-    for k0 in range(0, steps, sde.BLOCK_STEPS):
-        nb = min(sde.BLOCK_STEPS, steps - k0)
+    for k0 in range(0, steps, block):
+        nb = min(block, steps - k0)
         chunks.append(noise.block(np.ones((nb, M))).copy())
     z = np.concatenate(chunks, axis=1).transpose(1, 0, 2).reshape(steps, trials * M)
     corr = np.corrcoef(z.T) - np.eye(trials * M)
@@ -133,11 +134,11 @@ def test_trials_invariant_to_block_steps(fig1, fig2, monkeypatch):
     block boundaries that split no sample interval evenly."""
     scen = _invariance_scenario(fig1)
     leaderless = fig2.with_overrides(t_end=2.0, sample_times=np.linspace(0.0, 2.0, 21))
-    assert sde.BLOCK_STEPS == 256
+    assert integrate.SUBS * integrate.W == 256
     full, red = sde._run_full(scen, 5, 4), sde._run_reduced(scen, 5, 4)
     free = sde._run_full(leaderless, 5, 4)
-    for block_steps in (512, 112):
-        monkeypatch.setattr(sde, "BLOCK_STEPS", block_steps)
+    for subs in (32, 7):  # blocks of 512 and 112 steps
+        monkeypatch.setattr(integrate, "SUBS", subs)
         assert np.array_equal(sde._run_full(scen, 5, 4), full)
         assert np.array_equal(sde._run_reduced(scen, 5, 4), red)
         assert np.array_equal(sde._run_full(leaderless, 5, 4), free)
@@ -190,7 +191,7 @@ def test_nonfinite_error_names_first_step(fig1):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(sde.NonFiniteError, match=r"t = 0\.134 in 3 trial\(s\): 0, 1, 2") as exc:
             sde._run_full(scen, 1, 3)
-        assert exc.value.t < sde.BLOCK_STEPS * scen.dt
+        assert exc.value.t < integrate.SUBS * integrate.W * scen.dt
         # The step before the named one is still finite.
         t_before = exc.value.t - scen.dt
         before = scen.with_overrides(t_end=t_before, sample_times=[t_before])
