@@ -1,62 +1,14 @@
-"""Euler-Maruyama simulation of the noisy consensus closed loop.
-
-One engine, ``_run``, steps any closed-loop drift F(a) (``ClosedLoopDrift``)
-of M agents with n states each.  Two systems go through it:
-
-* ``simulate_full`` integrates every agent's state under the relative-state
-  protocol with per-edge measurement noise.  The autonomous, noise-free leader
-  is exact at the sample times (``leader_closed_loop``) and reaches the
-  followers only through K2 x0(t) = K2 x0(0), constant as K2 (A + B K1) = 0.
-* ``simulate_reduced`` integrates the N-dimensional filtered error
-  Xhat = (I (x) K2)(X_F - 1 (x) x0), whose drift -Gains(t) L2 is that of N
-  one-state agents with A + B K1 = 0 and K2 = 1.
-
-Noise reaches simulated agent i only through the last component of its
-state, as a_i(t) sqrt(q_i) dB_i in law, with q_i its noise variance rate
-``SimScenario.noise_rate``: the engine draws one standard normal per simulated
-agent per step and nothing else.  Trial t draws from its own counter-based
-stream, Philox keyed on [base_seed, t], step-major (all agents of step k, then
-step k + 1), so a trial's path depends neither on the block length nor on the
-trial count (a one-trial run differs by round-off only: BLAS takes a
-matrix-vector path for one row).  Both systems consume the same increments,
-so a shared (scenario, seed) pair yields pathwise-consistent paths.
-
-Each step is X <- S_k X plus the increment (noise and, for followers, the
-leader forcing) on the last components, with S_k = I + dt F(a_k) built for a
-block of steps at once.  The block's gains a_k, noise and leader forcing are
-formed with it, from the step index alone, and nothing the engine holds grows
-with the horizon.  The steps are affine, so they compose exactly: a block is
-SUBS whole sub-blocks of W steps (``integrate.SUBS``, read at call time, and
-``integrate.W``), the blocks of ``integrate.rk4_path``, aligned to step 0, and
-each sub-block's W steps are applied as one composed map plus its carried
-increments, one Python turn per W steps.  Only the order of the
-floating-point operations differs from stepping one step at a time, and a
-sub-block's arithmetic does not depend on the block length.
-Additive noise makes plain Euler-Maruyama strong order 1.0; nothing higher is
-warranted at desk scale.
-
-A batch of trials is split into contiguous trial ranges, one per usable CPU
-(``WORKERS``, from the process's CPU affinity; 1 where the platform has
-none), each at least 2 trials wide.  All but the last range run in children
-made with ``os.fork``; the parent runs the last range itself and then reaps
-every child.  Shared memory is the one channel back: the output arrays live
-in anonymous shared mmaps, whatever the range count, and a child that fails
-leaves its exception's text (at most FAILURE_BYTES) in its range's field
-there and exits 1.  Each range runs the serial code on its own streams and a
-slab of at least 2 rows, where BLAS takes the same matrix-matrix path as for
-the whole batch, so every trial's path is bit-identical to a serial run.  A
-run with fewer than 4 trials is one range and never forks.
-
-A range whose state leaves the finite range stops there and records, per
-trial, the step it left at; ``_run`` reads that record after the split and
-raises one NonFiniteError, the same whatever the split.
-"""
+"""Euler-Maruyama paths of the noisy consensus closed loop: one engine,
+``_run``, steps the full system (``simulate_full``) and the filtered error
+(``simulate_reduced``).  README says what a path depends on; ``_run`` and
+``_split`` say how."""
 
 from __future__ import annotations
 
 import mmap
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -95,21 +47,27 @@ class Trajectory:
 
 
 class _Noise:
-    """Per-trial streams drawn one block of steps at a time."""
+    """Per-trial streams, Philox keyed on [seed, t], drawn one block of steps at
+    a time, step-major, into the last len(trials) rows of ``buf``; any rows
+    before stay zero."""
 
     def __init__(self, seed: int, trials: range, scale: np.ndarray):
-        # Philox is counter-based: trial t's stream is a pure function of its key
-        # [seed, t], whatever the trial count, the block size or the trial range.
         self.streams = [np.random.Generator(np.random.Philox(key=np.array([seed, t], np.uint64)))
                         for t in trials]
         self.scale = scale  # (M,) sqrt(dt q): the increment's standard deviation at gain 1
-        self.buf = np.empty((len(trials), integrate.SUBS * W, scale.size))
+        self.buf = np.zeros((len(trials), integrate.SUBS * W, scale.size))
+
+    def skip(self, steps: int) -> None:
+        """Draw and discard each stream's first ``steps`` steps, a buffer row at a time."""
+        piece, total = self.buf[-1].reshape(-1), steps * self.scale.size
+        for stream in self.streams:
+            for i in range(0, total, piece.size):
+                stream.standard_normal(out=piece[:total - i])
 
     def block(self, a_b: np.ndarray) -> np.ndarray:
-        """Increments (trials, nb, M) of the next nb = len(a_b) steps; trial t
-        fills its slab step-major from its own stream."""
+        """Increments (rows, nb, M) of the next nb = len(a_b) steps."""
         buf = self.buf[:, :a_b.shape[0]]
-        for stream, slab in zip(self.streams, buf):
+        for stream, slab in zip(self.streams, buf[-len(self.streams):]):
             stream.standard_normal(out=slab)
         buf *= self.scale * a_b
         return buf
@@ -139,34 +97,23 @@ def _shared(shape: tuple, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize), dtype).reshape(shape)
 
 
-def _split(trials: int, shape: tuple, run) -> tuple[np.ndarray, np.ndarray]:
-    """Run trials 0..trials-1 through run(range, rows, first), which fills
-    ``rows`` (len(range), *shape) and marks in ``first`` (len(range),) the
-    step at which each trial left the finite range; returns the (trials,
-    *shape) output and the (trials,) int64 steps, 0 for a trial that stayed
-    finite.
-
-    All but the last range run in forked children and the parent runs the
-    last.  A child hands back everything through shared memory: its rows, its
-    steps and, when its range raises, the exception's text, cut to
-    FAILURE_BYTES, before it exits 1.  Every child is reaped, also when a fork
-    or the parent's range raised; a child's failure becomes a SimulationError.
-    """
-    ranges = _ranges(trials)
-    out, first = _shared((trials, *shape), np.float64), _shared((trials,), np.int64)
-    texts = _shared((len(ranges),), f"S{FAILURE_BYTES}")
-
-    def job(part):
-        run(part, out[part.start:part.stop], first[part.start:part.stop])
-
+def _split(jobs: list) -> None:
+    """Run the named jobs [(name, job)]: all but the last in forked children
+    when WORKERS > 1, the rest in this process.  A job hands back its output
+    through shared memory; a child that raises leaves the exception's text,
+    cut to FAILURE_BYTES, in its job's shared field and exits 1.  Every child
+    is reaped, also when a fork or the parent's job raised, and a child's
+    failure becomes a SimulationError naming its job."""
+    texts = _shared((len(jobs),), f"S{FAILURE_BYTES}")
+    forked = jobs[:-1] if WORKERS > 1 else []
     pids = []
     try:
-        for i, part in enumerate(ranges[:-1]):
+        for i, (_, job) in enumerate(forked):
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
-                    job(part)
+                    job()
                     status = 0
                 except Exception as exc:
                     texts[i] = f"{type(exc).__name__}: {exc}".encode(errors="replace")
@@ -175,79 +122,89 @@ def _split(trials: int, shape: tuple, run) -> tuple[np.ndarray, np.ndarray]:
                     # the child would go on running the parent's session).
                     os._exit(status)
             pids.append(pid)
-        job(ranges[-1])
+        for _, job in jobs[len(forked):]:
+            job()
     finally:
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for part, text, status in zip(ranges, texts, statuses):
-        where = f"worker for trials {part.start}-{part.stop - 1}"
+    for (name, _), text, status in zip(jobs, texts, statuses):
         if os.WIFSIGNALED(status):
-            raise SimulationError(f"{where} was killed by signal {os.WTERMSIG(status)}")
+            raise SimulationError(f"{name} was killed by signal {os.WTERMSIG(status)}")
         if status:
-            raise SimulationError(f"{where} failed: {text.decode(errors='replace')}" if text else
-                                  f"{where} exited with status {os.waitstatus_to_exitcode(status)}")
-    return out, first
+            raise SimulationError(f"{name} failed: {text.decode(errors='replace')}" if text else
+                                  f"{name} exited with status {os.waitstatus_to_exitcode(status)}")
 
 
 def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
     """Batched Euler-Maruyama paths of the agents ``nodes`` (rows of x0, n =
-    x0.shape[1] states each) under ``drift``, at the S sample times; returns
-    (trials, S, *x0.shape), with the rows outside ``nodes`` left unset.
+    x0.shape[1] states each) under ``drift`` at the S sample times: (trials,
+    S, *x0.shape), the rows outside ``nodes`` unset.
 
-    Each step is X <- X S_k^T + V_k, S_k = I + dt F(a_k), where V_k gives each
-    agent's last component its noise increment plus, unless ``forcing`` is
-    None, a_k * forcing.  A block's transitions start from I + dt
-    ``drift.base`` and rebuild only the ``drift.last`` rows, the only ones the
-    gains reach.  The steps go in sub-blocks of W, aligned to step 0; only the
-    grid's last sub-block is padded, with identity maps and zero increments.
-    With Q_j = S_{j+1}^T ... S_{W-1}^T, a sub-block's W steps from X are
+    Step k is X <- X S_k^T + V_k, S_k = I + dt F(a_k), where V_k is each
+    agent's noise increment plus, unless ``forcing`` is None, a_k * forcing,
+    on its last component.  The gains reach only the ``drift.last`` rows of
+    S_k, built for a block with one matmul by ``spread``.  The steps go in
+    sub-blocks of W, aligned to step 0 (the grid's last padded with identity
+    maps and zero increments).  With Q_j = S_{j+1}^T ... S_{W-1}^T, a
+    sub-block's steps are X <- X P + v G, P = S_0^T Q_0, with v (rows, W M)
+    its increments and G (W M, D) its Q_j's last-component rows, stacked.  A
+    block builds the Q_j, P and v G of all its sub-blocks in W stacked
+    matmuls; each sub-block then costs one matmul in Python, and a sample
+    inside one is stepped to one step at a time from its start.
 
-        X <- X P + v G,    P = S_0^T Q_0,
-
-    with v (trials, W M) its increments and G (W M, D) the last-component rows
-    of its Q_j, stacked.  The Q_j of all of a block's sub-blocks are built
-    together, W - 1 stacked matmuls in all, and so are their v G; each
-    sub-block then costs one matmul in Python.  A sample inside a sub-block is
-    stepped to one step at a time from the sub-block's start."""
-    n, dt, last = x0.shape[1], scen.dt, drift.last
-    M, D = last.size, drift.base.shape[0]
+    Trials run in ``_ranges``, one ``_split`` job each.  One trial splits its
+    steps instead, at the sub-block boundary K halfway through the grid: one
+    job steps x0 to X_K at step K while the other steps the D + 1 rows
+    [I_D; 0] from K, with the trial's increments on the last row only, after
+    discarding the first K steps of its stream; its rows Z at a later step
+    give the state there, X_K Z[:D] + Z[D].  A block whose state leaves the
+    finite range is replayed step by step to record, per row, the first step
+    that did (or the block's last).  A split trial with such a record, or a
+    joined state that is not finite, runs again unsplit, so any
+    NonFiniteError is the unsplit run's."""
+    n, dt = x0.shape[1], scen.dt
+    M, D = drift.last.size, drift.base.shape[0]
     samples = scen.sample_steps()
-    # The sample steps, closed by one past every sub-block's end.
-    wanted = samples.tolist() + [scen.steps + W]
+    wanted = samples.tolist() + [scen.steps + W]  # closed past every sub-block's end
     scale = np.sqrt(dt) * np.sqrt(scen.noise_rate[scen.sim_nodes])
     eye = np.eye(D)
     phi = drift.base * dt + eye
+    # Coupling row p in column block p: row k of a_b @ spread is a_kp coupling[p], exactly.
+    spread = (np.eye(M)[:, :, None] * drift.coupling).reshape(M, M * D)
     subs = integrate.SUBS
+    out = _shared((trials, samples.size, *x0.shape), np.float64)
 
-    def run(part, rows, first):
-        noise = _Noise(seed, part, scale)
-        count = len(part)
+    def path(X, noise, k_lo, k_hi, nxt, store, first):
+        """Step the rows X from step k_lo to k_hi, storing samples nxt on; the
+        state at k_hi, or at the end of the block that left the finite range."""
+        count = X.shape[0]
         S_buf = np.empty((subs * W, D, D))
         S_buf[...] = phi
         Q, P, G = np.empty((2, subs, D, D)), np.empty((subs, D, D)), np.empty((subs, W, M, D))
-        G[:, W - 1] = eye[n - 1::n]
         C = np.empty((subs, count, D))  # each sub-block's v G
-        X, Y = np.tile(x0[nodes].reshape(-1), (count, 1)), np.empty((count, D))
-
-        def store(state, i):
-            rows[:, i, nodes] = state.reshape(count, M, n)
-
-        nxt = 0  # the next sample
-        if wanted[0] == 0:
-            store(X, 0)
-            nxt = 1
-        for k0 in range(0, scen.steps, subs * W):
-            k1 = min(k0 + subs * W, scen.steps)
+        Y = np.empty((count, D))
+        if wanted[nxt] == k_lo:
+            store(X, nxt)
+            nxt += 1
+        for k0 in range(k_lo, k_hi, subs * W):
+            k1 = min(k0 + subs * W, k_hi)
             nb = k1 - k0
             n_sub = -(-nb // W)
             a_b = scen.profile.gain_all(np.arange(k0, k1) * dt)
             v = noise.block(a_b)
             if forcing is not None:
-                v += a_b * forcing
+                v[-len(noise.streams):] += a_b * forcing
             V = noise.buf[:, :n_sub * W]
             V[:, nb:] = 0.0
             S = S_buf[:n_sub * W]
-            S[:nb, last, :] = (drift.base[last] - a_b[:, :, None] * drift.coupling) * dt + eye[last]
+            # (base - a coupling) dt + I on the gain rows, in G's buffer until G is built.
+            T = G.reshape(-1)[:nb * M * D].reshape(nb, M, D)
+            np.matmul(a_b, spread, out=T.reshape(nb, M * D))
+            np.subtract(drift.base[n - 1::n], T, out=T)
+            T *= dt
+            T += eye[n - 1::n]
+            S[:nb, n - 1::n] = T
             S[nb:] = eye
+            G[:, W - 1] = eye[n - 1::n]
             # Q_{W-2} = S_{W-1}^T, then Q_{j-1} = S_j^T Q_j down to P, for every
             # sub-block at once, alternating between the two Q buffers.
             St = S.reshape(n_sub, W, D, D).swapaxes(-1, -2)
@@ -280,9 +237,45 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
                 if not first.any():
                     # The composed state left the finite range where no single step did.
                     first[~np.isfinite(X).all(axis=1)] = k1
-                return
+                return X
+        return X
 
-    out, first = _split(trials, (samples.size, *x0.shape), run)
+    def trials_job(part, k_hi, first):
+        rows = out[part.start:part.stop]
+
+        def store(state, i):
+            rows[:, i, nodes] = state.reshape(len(part), M, n)
+
+        X = np.tile(x0[nodes].reshape(-1), (len(part), 1))
+        return path(X, _Noise(seed, part, scale), 0, k_hi, 0, store, first[part.start:part.stop])
+
+    K = W * (-(-scen.steps // W) // 2)
+    if trials == 1 and K:
+        i0 = int(np.searchsorted(samples, K, side="right"))
+        # Z at each sample after K, then at the end.
+        far = _shared((samples.size - i0 + 1, D + 1, D), np.float64)
+
+        def far_store(Z, i):
+            far[i - i0] = Z
+
+        def second_half():
+            noise = _Noise(seed, range(1), scale)
+            noise.buf = np.zeros((D + 1, *noise.buf.shape[1:]))  # trial 0 draws into the last row
+            noise.skip(K)
+            far[-1] = path(np.eye(D + 1, D), noise, K, scen.steps, i0, far_store,
+                           np.zeros(D + 1, np.int64))
+
+        first, ends = np.zeros(1, np.int64), []
+        _split([(f"worker for steps {K}-{scen.steps - 1}", second_half),
+                ("first half", lambda: ends.append(trials_job(range(1), K, first)))])
+        joined = ends[0] @ far[:, :D] + far[:, D:]
+        if not first.any() and np.isfinite(joined).all():
+            out[0][i0:, nodes] = joined[:-1].reshape(-1, M, n)
+            return out
+
+    first = _shared((trials,), np.int64)
+    _split([(f"worker for trials {p.start}-{p.stop - 1}", partial(trials_job, p, scen.steps, first))
+            for p in _ranges(trials)])
     if first.any():
         # The earliest step any trial left the finite range, and every trial that did then.
         step = int(first[first > 0].min())

@@ -56,10 +56,17 @@ class MomentSeries:
 
 def write_csv(path, columns: dict) -> None:
     """Write the equal-length 1-D ``columns`` under a header of their names:
-    integer columns as %d, the rest as %.17g, which round-trips a float64."""
-    fmt = ["%d" if col.dtype.kind in "iu" else "%.17g" for col in columns.values()]
-    np.savetxt(path, np.column_stack(list(columns.values())), fmt=fmt, delimiter=",",
-               header=",".join(columns), comments="")
+    integer columns as %d, the rest as %.17g, which round-trips a float64.
+    Each block of 1024 rows is formatted with one %."""
+    cols = list(columns.values())
+    line = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in cols) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for i in range(0, cols[0].size, 1024):
+            flat = [None] * len(cols) * len(cols[0][i:i + 1024])
+            for j, col in enumerate(cols):
+                flat[j::len(cols)] = col[i:i + 1024].tolist()
+            fh.write(line * (len(flat) // len(cols)) % tuple(flat))
 
 
 def from_csv(path) -> MomentSeries:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,15 @@ import pytest
 import leadfollow as lf
 from leadfollow import moments
 from leadfollow.scenario import scenario_from_dict
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No test may leave a child process behind, failing or not: one-trial
+    paths and trial batches fork their workers."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

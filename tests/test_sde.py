@@ -374,6 +374,95 @@ def test_worker_failure_text_is_cut_to_its_field(fig1, monkeypatch, deadline):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _split_scenario(fig1):
+    """fig1 over 2007 steps, 126 sub-blocks with the last padded: the step
+    split falls at K = 1008, a sample step, with samples inside sub-blocks on
+    both sides of it."""
+    scen = fig1.with_overrides(t_end=2.007, sample_times=[0.0, 0.5, 1.0, 1.008, 1.5, 2.0, 2.007])
+    assert _split_step(scen) == 1008
+    return scen
+
+
+def _split_step(scen):
+    return integrate.W * (-(-scen.steps // integrate.W) // 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("subs", [7, 16, 32])
+def test_one_trial_invariant_to_workers_and_block_steps(fig1, fig2, monkeypatch, deadline,
+                                                         workers, subs):
+    """A one-trial run splits its steps at a boundary that depends on neither
+    the worker count nor the block length, so its paths are bit-identical
+    under both; with two workers the second half runs in one forked child."""
+    scen = _split_scenario(fig1)
+    leaderless = fig2.with_overrides(t_end=2.007, sample_times=scen.sample_times)
+
+    def runs():
+        return [sde._run_full(scen, 5, 1), sde._run_reduced(scen, 5, 1),
+                sde._run_full(leaderless, 5, 1)]
+
+    monkeypatch.setattr(sde, "WORKERS", 1)
+    serial = runs()
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(sde, "WORKERS", workers)
+    monkeypatch.setattr(integrate, "SUBS", subs)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert all(np.array_equal(a, b) for a, b in zip(runs(), serial))
+    assert len(forks) == (3 if workers == 2 else 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_trial_nonfinite_after_the_split_names_its_step(fig1, monkeypatch, deadline, workers):
+    """A one-trial state that first leaves the finite range in the second half
+    raises the NonFiniteError of an unsplit run, naming that step."""
+    scen = _split_scenario(fig1)
+    step = 1500  # its increment enters the state at step 1501
+    assert _split_step(scen) < step
+    poison, block = scen.profile.gain_all(step * scen.dt), sde._Noise.block
+
+    def poisoned(self, a_b):
+        buf = block(self, a_b)
+        buf[-1, (a_b == poison).all(axis=1)] = np.inf  # the trial's row, in either half
+        return buf
+
+    monkeypatch.setattr(sde, "WORKERS", workers)
+    monkeypatch.setattr(sde._Noise, "block", poisoned)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(sde.NonFiniteError) as exc:
+            sde._run_full(scen, 5, 1)
+    assert str(exc.value) == "state became non-finite at t = 1.501 in 1 trial(s): 0"
+
+
+@pytest.mark.parametrize("how", ["raise", "kill"])
+def test_second_half_failure_surfaces_and_is_reaped(fig1, monkeypatch, deadline, how):
+    """A second-half child that raises, or dies without a word, is a
+    SimulationError in the parent naming its step range; no child is left."""
+    scen = _split_scenario(fig1)
+    parent, block = os.getpid(), sde._Noise.block
+
+    def failing(self, a_b):
+        if os.getpid() != parent:
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("noise source failed")
+        return block(self, a_b)
+
+    monkeypatch.setattr(sde, "WORKERS", 2)
+    monkeypatch.setattr(sde._Noise, "block", failing)
+    reason = {"raise": "failed: RuntimeError: noise source failed",
+              "kill": "was killed by signal 9"}[how]
+    with pytest.raises(sde.SimulationError, match=f"^worker for steps 1008-2006 {reason}$") as exc:
+        sde._run_full(scen, 5, 1)
+    assert not isinstance(exc.value, sde.NonFiniteError)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_step_k_uses_the_gain_at_its_start(fig1):
     """Step k takes the gains a(k dt) in both its drift and its noise: a
     per-step loop on the dense drift of all nodes, with the leader stepped
