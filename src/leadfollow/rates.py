@@ -49,8 +49,7 @@ def monte_carlo_moments(scen) -> MomentSeries:
         raise UnsuitedError(f"Monte Carlo moments need trials >= {MIN_TRIALS}, got {trials}")
     states = sde._run_full(scen, scen.base_seed, trials)
     fol = scen.graph.follower_indices
-    lead = scen.graph.leader_index
-    err = states[:, :, fol, :] - states[:, :, [lead], :]
+    err = states[:, :, fol, :] - states[:, :, [scen.graph.leader_index], :]
     sq = np.einsum("tsfk,tsfk->tsf", err, err)
     mean_err = err.mean(axis=0)
     mse = sq.mean(axis=0)
@@ -69,23 +68,26 @@ class PowerLawFit:
     intercept: np.ndarray
 
 
+def fit_window(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Mask of the positive ``times`` inside ``window``, the points a power-law
+    fit takes; refused unless they are >= 8 spanning >= 0.6 decades."""
+    mask = (times >= window[0]) & (times <= window[1]) & (times > 0)
+    tt = times[mask]
+    if tt.size < 8 or tt.max() / tt.min() < 10 ** 0.6:
+        raise WindowTooNarrowError(f"window {window} has {tt.size} points spanning "
+                                   f"{np.log10(tt.max() / tt.min()) if tt.size else 0:.2f} "
+                                   "decades; need >= 8 points over >= 0.6 decades")
+    return mask
+
+
 def fit_power_law(series: MomentSeries, window: tuple[float, float]) -> PowerLawFit:
     """Unweighted least squares of log(mse) against log(t) inside the window."""
-    t_lo, t_hi = window
-    mask = series.window(t_lo, t_hi) & (series.times > 0)
-    tt = series.times[mask]
-    if tt.size < 8 or tt.max() / tt.min() < 10 ** 0.6:
-        raise WindowTooNarrowError(
-            f"window {window} has {tt.size} points spanning "
-            f"{np.log10(tt.max() / tt.min()) if tt.size else 0:.2f} decades; "
-            "need >= 8 points over >= 0.6 decades"
-        )
-    x = np.log(tt)
-    y = np.log(series.mse[mask])
+    mask = fit_window(series.times, window)
+    x, y = np.log(series.times[mask]), np.log(series.mse[mask])
     A = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     return PowerLawFit(
-        follower_ids=series.follower_ids, window=(float(t_lo), float(t_hi)),
+        follower_ids=series.follower_ids, window=(float(window[0]), float(window[1])),
         slope=coef[0], intercept=coef[1],
     )
 
@@ -102,11 +104,12 @@ def envelope_check(series: MomentSeries, C: float, beta: float, t_min: float) ->
 
 
 def _scaled_band(r: int, u: np.ndarray) -> np.ndarray:
-    """(S, r): (-u)^i / i!, the band with the diagonal decay exp(-lam u) factored out."""
+    """(S, r): (-u)^i / i!, the band with the diagonal decay exp(-lam u) factored out,
+    as running products of the columns 1, -u/1, ..., -u/(r - 1)."""
     if r < 1:
         raise ValueError("block size must be >= 1")
     i = np.arange(r)
-    return (-u[:, None]) ** i / np.cumprod(np.maximum(i, 1))
+    return np.cumprod(np.where(i > 0, -u[:, None] / np.maximum(i, 1), 1.0), axis=1)
 
 
 def _toeplitz_upper(band: np.ndarray) -> np.ndarray:
@@ -114,8 +117,7 @@ def _toeplitz_upper(band: np.ndarray) -> np.ndarray:
     S, r = band.shape
     m = np.zeros((S, r, r), dtype=band.dtype)
     for i in range(r):
-        rows = np.arange(r - i)
-        m[:, rows, rows + i] = band[:, i, None]
+        m[:, np.arange(r - i), np.arange(i, r)] = band[:, i, None]
     return m
 
 
@@ -159,15 +161,18 @@ def transition_bound_check(blocks, profile, eps: float, grid) -> np.ndarray:
     """Finiteness witnesses for the envelope-driven transition-matrix bound.
 
     For each (lambda, block size) pair the normalized log ratio
-    log||Phi|| + (Re(lambda) - eps) int envelope is evaluated on the grid.
+    log||Phi|| + (Re(lambda) - eps) int envelope is evaluated on the grid
+    points of its first decade and of its last, the only ones it reports.
     Returns (len(blocks), 2): its max over the first decade of the grid and
     over the last, which ``verify`` compares.
     All arithmetic stays in log space: the raw ratios under/overflow quickly.
     """
     grid = np.asarray(grid, dtype=float)
-    u = profile.envelope_integral(grid[0], grid)
     head = grid <= grid[0] * 10.0
     tail = grid >= grid[-1] / 10.0
+    keep = head | tail
+    u = profile.envelope_integral(grid[0], grid)[keep]
+    head, tail = head[keep], tail[keep]
     maxima = np.empty((len(blocks), 2))
     for i, (lam, r) in enumerate(blocks):
         lam = complex(lam)

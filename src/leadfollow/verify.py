@@ -9,6 +9,7 @@ never a genuine t -> infinity statement.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .matrices import eigenvalues
 from .moments import evolve_moments
 from .plant import build_plant
 from .rates import (
-    filter_response, fit_power_law, jordan_transition, jordan_transition_ode,
+    filter_response, fit_power_law, fit_window, jordan_transition, jordan_transition_ode,
     monte_carlo_moments, transition_bound_check,
 )
 from .scenario import UnsuitedError
@@ -43,10 +44,8 @@ class CheckResult:
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
         tag = " note=finite-horizon-surrogate" if self.surrogate else ""
-        return (
-            f"{self.name}: value={self.value:.6g} threshold={self.op} "
-            f"{self.threshold:.6g} status={status}{tag}"
-        )
+        return (f"{self.name}: value={self.value:.6g} threshold={self.op} "
+                f"{self.threshold:.6g} status={status}{tag}")
 
 
 @dataclass(frozen=True)
@@ -59,18 +58,14 @@ class VerifyReport:
         return all(r.passed for r in self.results)
 
     def lines(self) -> list[str]:
-        out = [f"scenario: {self.scenario_hash}"]
-        out += [r.line() for r in self.results]
-        out.append(f"overall: {'pass' if self.all_passed else 'FAIL'}")
-        return out
+        return ([f"scenario: {self.scenario_hash}"] + [r.line() for r in self.results]
+                + [f"overall: {'pass' if self.all_passed else 'FAIL'}"])
 
 
 def _check(name, value, threshold, op, surrogate=False) -> CheckResult:
-    value = float(value)
-    threshold = float(threshold)
-    passed = value <= threshold if op == "<=" else value >= threshold
-    return CheckResult(name=name, value=value, threshold=threshold, op=op,
-                       passed=passed, surrogate=surrogate)
+    value, threshold = float(value), float(threshold)
+    return CheckResult(name=name, value=value, threshold=threshold, op=op, surrogate=surrogate,
+                       passed=value <= threshold if op == "<=" else value >= threshold)
 
 
 def check_follower_spectrum() -> CheckResult:
@@ -96,9 +91,8 @@ def check_controller_identities() -> CheckResult:
         roots = -rng.uniform(0.2, 3.0, size=n - 1)
         b = np.polynomial.polynomial.polyfromroots(roots).real[:-1]
         p = build_plant(alpha, b)
-        r1 = np.abs(p.K2 @ p.closed_loop_A).max()
-        r2 = np.abs(p.K2 @ p.B @ p.K2 - p.K2).max()
-        worst = max(worst, r1, r2)
+        worst = max(worst, np.abs(p.K2 @ p.closed_loop_A).max(),
+                    np.abs(p.K2 @ p.B @ p.K2 - p.K2).max())
     return _check("controller_identities_residual", worst, 1e-12, "<=")
 
 
@@ -113,13 +107,11 @@ def check_reduction_consistency(scen) -> CheckResult:
     probe = scen.with_overrides(
         t_end=horizon, sample_times=np.linspace(0.0, horizon, 101)
     )
-    K2 = probe.plant.K2[0]
-    fol = probe.graph.follower_indices
-    lead = probe.graph.leader_index
     full = sde._run_full(probe, probe.base_seed, REDUCTION_SEEDS)
     red = sde._run_reduced(probe, probe.base_seed, REDUCTION_SEEDS)
-    err = full[:, :, fol, :] - full[:, :, [lead], :]
-    return _check("reduction_projection_gap", np.abs(red - err @ K2).max(), 1e-10, "<=")
+    err = full[:, :, probe.graph.follower_indices, :] - full[:, :, [probe.graph.leader_index], :]
+    return _check("reduction_projection_gap", np.abs(red - err @ probe.plant.K2[0]).max(),
+                  1e-10, "<=")
 
 
 def oracle_deviation_sigmas(mc, oracle) -> float:
@@ -128,8 +120,7 @@ def oracle_deviation_sigmas(mc, oracle) -> float:
     Sample times with zero sampling variance (deterministic initial condition)
     count only if the gap itself is nonzero beyond round-off.
     """
-    dev = np.abs(mc.mse - oracle.mse)
-    se = mc.stderr
+    dev, se = np.abs(mc.mse - oracle.mse), mc.stderr
     exact = se == 0.0
     ratio = np.where(exact, np.where(dev <= 1e-9, 0.0, np.inf),
                      dev / np.where(exact, 1.0, se))
@@ -142,9 +133,13 @@ def check_oracle_agreement(mc, oracle) -> CheckResult:
                   3.0, "<=")
 
 
+def _slope_window(scen) -> tuple[float, float]:
+    return scen.t_end / 5.0, scen.t_end
+
+
 def check_oracle_slope(scen, oracle) -> CheckResult:
     """Log-log slope of the exact mean-square error on the tail window."""
-    fit = fit_power_law(oracle, (scen.t_end / 5.0, scen.t_end))
+    fit = fit_power_law(oracle, _slope_window(scen))
     dev = np.abs(fit.slope + scen.profile.beta).max()
     return _check("oracle_slope_deviation", dev, 0.15, "<=", surrogate=True)
 
@@ -180,45 +175,34 @@ def check_transition_bound(scen) -> CheckResult:
 def check_gain_decay(scen) -> tuple[CheckResult, CheckResult]:
     """The integrated-envelope exponential beats the t^(-beta) power law."""
     ratios = decay_dominance_log_ratios(scen.profile, 1.0, [1e2, 1e3, 1e4])
-    mono = _check("gain_decay_log_ratio_steps", np.diff(ratios).max(), 0.0, "<=",
-                  surrogate=True)
-    small = _check("gain_decay_log_ratio_at_1e4", ratios[-1], np.log(1e-2), "<=",
-                   surrogate=True)
-    return mono, small
+    return (_check("gain_decay_log_ratio_steps", np.diff(ratios).max(), 0.0, "<=", surrogate=True),
+            _check("gain_decay_log_ratio_at_1e4", ratios[-1], np.log(1e-2), "<=", surrogate=True))
 
 
 def check_filter_tails(scen) -> tuple[CheckResult, CheckResult, CheckResult]:
     """Stable-filter tracking witnesses for constant, exponential-tail and
     power-tail drives."""
-    b = scen.plant.K2[0]
+    b, zstar = scen.plant.K2[0], 2.0
     n = b.size - 1
-    zstar = 2.0
-    roots = np.roots(b[::-1])
-    t_end = 50.0 / np.abs(roots.real).min()
+    t_end = 50.0 / np.abs(np.roots(b[::-1]).real).min()
     t1 = np.arange(0.0, t_end + 1e-9, 0.01)
     s1 = filter_response(b, t1, np.full(t1.size, zstar), np.zeros(n))
     settle = abs(s1[-1, 0] - zstar / b[0]) + np.abs(s1[-1, 1:n]).max(initial=0.0)
-    const = _check("filter_constant_drive_residual", settle, 1e-4, "<=",
-                   surrogate=True)
+    const = _check("filter_constant_drive_residual", settle, 1e-4, "<=", surrogate=True)
 
-    t2 = np.arange(0.0, 100.0 + 1e-9, 0.005)
-    z2 = zstar + np.exp(-t2 ** scen.profile.beta)
-    s2 = filter_response(b, t2, z2, np.zeros(n))
-    ratio = np.abs(s2[:, 0] - zstar) * np.exp(t2 ** scen.profile.beta)
-    head = ratio[(t2 >= 5.0) & (t2 <= 10.0)].max()
-    tail = ratio[(t2 >= 50.0) & (t2 <= 100.0)].max()
-    exp_tail = _check("filter_exponential_drive_ratio", tail / head, 1.05, "<=",
-                      surrogate=True)
+    def tail_over_head(t, w):  # the largest w on [50, 100] over the largest on [5, 10]
+        return w[(t >= 50.0) & (t <= 100.0)].max() / w[(t >= 5.0) & (t <= 10.0)].max()
 
     beta = scen.profile.beta
+    t2 = np.arange(0.0, 100.0 + 1e-9, 0.005)
+    s2 = filter_response(b, t2, zstar + np.exp(-t2 ** beta), np.zeros(n))
+    exp_tail = _check("filter_exponential_drive_ratio", tail_over_head(
+        t2, np.abs(s2[:, 0] - zstar) * np.exp(t2 ** beta)), 1.05, "<=", surrogate=True)
+
     t3 = np.arange(0.01, 100.0 + 1e-9, 0.005)
-    z3 = zstar + t3 ** (-0.5 * beta)
-    s3 = filter_response(b, t3, z3, np.zeros(n))
-    w = (s3[:, 0] - zstar / b[0]) ** 2 * t3 ** beta
-    head = w[(t3 >= 5.0) & (t3 <= 10.0)].max()
-    tail = w[(t3 >= 50.0) & (t3 <= 100.0)].max()
-    pow_tail = _check("filter_power_drive_ratio", tail / head, 1.05, "<=",
-                      surrogate=True)
+    s3 = filter_response(b, t3, zstar + t3 ** (-0.5 * beta), np.zeros(n))
+    pow_tail = _check("filter_power_drive_ratio", tail_over_head(
+        t3, (s3[:, 0] - zstar / b[0]) ** 2 * t3 ** beta), 1.05, "<=", surrogate=True)
     return const, exp_tail, pow_tail
 
 
@@ -226,23 +210,33 @@ def run_battery(scen, mc=None, oracle=None) -> VerifyReport:
     """Full property battery for a leader-following scenario.
 
     ``mc`` and ``oracle`` allow reuse of already-computed moment series (they
-    must correspond to the same scenario).
+    must correspond to the same scenario).  A slope window too narrow is
+    refused before anything runs.  After the Monte Carlo batch, the three
+    scenario-free self-tests run as one ``sde._split`` job while this process
+    computes the oracle, if not given, and runs the scenario's checks; their
+    results come back pickled into a shared field, and raise if it is too small.
     """
     if scen.leaderless:
         raise UnsuitedError("the verification battery requires a leader-following scenario")
+    fit_window(scen.sample_times, _slope_window(scen))
     if mc is None:
         mc = monte_carlo_moments(scen)
-    if oracle is None:
-        oracle = evolve_moments(scen)
-    results = [
-        check_follower_spectrum(),
-        check_controller_identities(),
-        check_reduction_consistency(scen),
-        check_oracle_agreement(mc, oracle),
-        check_oracle_slope(scen, oracle),
-        check_jordan_recursion(),
-        check_transition_bound(scen),
-        *check_gain_decay(scen),
-        *check_filter_tails(scen),
-    ]
-    return VerifyReport(scenario_hash=scen.fingerprint, results=tuple(results))
+    handed, own = sde._shared((1,), f"S{sde.FAILURE_BYTES}"), []
+
+    def self_tests():
+        data = pickle.dumps((check_follower_spectrum(), check_controller_identities(),
+                             check_jordan_recursion()))
+        if len(data) > sde.FAILURE_BYTES:
+            raise ValueError(f"self-test results of {len(data)} bytes exceed {sde.FAILURE_BYTES}")
+        handed[0] = data
+
+    def scenario_checks():
+        series = evolve_moments(scen) if oracle is None else oracle
+        own.extend([check_reduction_consistency(scen), check_oracle_agreement(mc, series),
+                    check_oracle_slope(scen, series), check_transition_bound(scen),
+                    *check_gain_decay(scen), *check_filter_tails(scen)])
+
+    sde._split([("self-tests", self_tests), ("scenario checks", scenario_checks)])
+    spectrum, identities, jordan = pickle.loads(handed[0])
+    return VerifyReport(scenario_hash=scen.fingerprint,
+                        results=(spectrum, identities, *own[:3], jordan, *own[3:]))

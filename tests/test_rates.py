@@ -9,7 +9,7 @@ from leadfollow.rates import (
     GridMismatchError, WindowTooNarrowError, jordan_log_norms, jordan_transition,
     jordan_transition_ode,
 )
-from leadfollow import integrate
+from leadfollow import integrate, rates
 from leadfollow.matrices import companion
 from leadfollow.series import MomentSeries
 
@@ -193,6 +193,26 @@ def test_transition_bound_scalar_exact(fig1):
     assert head == pytest.approx(0.0, abs=1e-12)
     assert tail == pytest.approx(-0.1 * u[grid >= 10.0].min(), abs=1e-12)
     assert tail < head
+
+
+def test_transition_bound_reports_decades_of_the_full_grid(fig1):
+    """Evaluated on its first and last decades only, the witness is the one
+    taken from the whole grid, bit for bit."""
+    grid = np.geomspace(1.0, 1000.0, 4001)
+    u = fig1.profile.envelope_integral(1.0, grid)
+    log_ratio = jordan_log_norms(0.9, 3, u) + (0.9 - 0.1) * u
+    expected = [log_ratio[grid <= 10.0].max(), log_ratio[grid >= 100.0].max()]
+    assert np.array_equal(lf.transition_bound_check([(0.9, 3)], fig1.profile, 0.1, grid)[0],
+                          expected)
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 6])
+def test_scaled_band_matches_power_form(r):
+    """The running products of 1, -u/1, -u/2, ... are (-u)^i / i! to a few ulp."""
+    u = np.append(0.0, np.geomspace(1e-3, 300.0, 2001))
+    i = np.arange(r)
+    power = (-u[:, None]) ** i / np.cumprod(np.maximum(i, 1))
+    assert np.allclose(rates._scaled_band(r, u), power, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def test_transition_bound_preconditions(fig1):
