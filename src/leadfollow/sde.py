@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import pickle
 from dataclasses import dataclass
 from functools import partial
 
@@ -19,7 +20,8 @@ from .series import write_csv
 
 # Worker processes a batch may use: one per CPU this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-# Bytes a worker's failure text may take; a longer text is cut.
+# Bytes of each _split job's shared field: its pickled value, which may not be
+# longer, or a child's failure text, which is cut to it.
 FAILURE_BYTES = 4096
 
 
@@ -48,8 +50,7 @@ class Trajectory:
 
 class _Noise:
     """Per-trial streams, Philox keyed on [seed, t], drawn one block of steps at
-    a time, step-major, into the last len(trials) rows of ``buf``; any rows
-    before stay zero."""
+    a time, step-major, into ``buf``: one row per trial."""
 
     def __init__(self, seed: int, trials: range, scale: np.ndarray):
         self.streams = [np.random.Generator(np.random.Philox(key=np.array([seed, t], np.uint64)))
@@ -67,21 +68,27 @@ class _Noise:
     def block(self, a_b: np.ndarray) -> np.ndarray:
         """Increments (rows, nb, M) of the next nb = len(a_b) steps."""
         buf = self.buf[:, :a_b.shape[0]]
-        for stream, slab in zip(self.streams, buf[-len(self.streams):]):
+        for stream, slab in zip(self.streams, buf):
             stream.standard_normal(out=slab)
         buf *= self.scale * a_b
         return buf
 
 
-def _first_nonfinite(X, S, v, n, k0, first) -> None:
+def _replay(X, S, V, n):
+    """Yield the rows X after each step X <- X S_k^T + V[:, k], the increments
+    V (noise rows, steps, M) on the last components of the last len(V) rows."""
+    for S_k, v_k in zip(S, V.swapaxes(0, 1)):
+        X = X @ S_k.T
+        X[-len(V):, n - 1::n] += v_k
+        yield X
+
+
+def _first_nonfinite(X, S, V, n, k0, first) -> None:
     """Replay a failed block step by step from its start state X, and mark in
-    ``first`` the trials that left the finite range at the first step any did."""
-    for k in range(S.shape[0]):
-        X = X @ S[k].T
-        X[:, n - 1::n] += v[:, k]
-        bad = ~np.isfinite(X).all(axis=1)
-        if bad.any():
-            first[bad] = k0 + k + 1
+    ``first`` the rows that left the finite range at the first step any did."""
+    for k, Z in enumerate(_replay(X, S, V, n), k0 + 1):
+        if (bad := ~np.isfinite(Z).all(axis=1)).any():
+            first[bad] = k
             return
 
 
@@ -97,41 +104,50 @@ def _shared(shape: tuple, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize), dtype).reshape(shape)
 
 
-def _split(jobs: list) -> None:
-    """Run the named jobs [(name, job)]: all but the last in forked children
-    when WORKERS > 1, the rest in this process.  A job hands back its output
-    through shared memory; a child that raises leaves the exception's text,
-    cut to FAILURE_BYTES, in its job's shared field and exits 1.  Every child
-    is reaped, also when a fork or the parent's job raised, and a child's
-    failure becomes a SimulationError naming its job."""
-    texts = _shared((len(jobs),), f"S{FAILURE_BYTES}")
-    forked = jobs[:-1] if WORKERS > 1 else []
-    pids = []
+def _split(jobs: list) -> list:
+    """Run the named jobs [(name, job)], all but the last in forked children
+    when WORKERS > 1, the rest in this process, and return their values.  Each
+    job, forked or not, pickles its value into its own shared field and raises
+    ValueError if it does not fit; a child that raises leaves the exception's
+    text there instead, cut to the field, and exits 1.  Every child is reaped,
+    also when a fork or the parent's job raised, and a child's failure
+    becomes a SimulationError naming its job."""
+    fields = _shared((len(jobs),), f"S{FAILURE_BYTES}")
+    forked, pids = (jobs[:-1] if WORKERS > 1 else []), []
+
+    def hand(i):
+        name, job = jobs[i]
+        data = pickle.dumps(job())
+        if len(data) > FAILURE_BYTES:
+            raise ValueError(f"{name} returned {len(data)} bytes, which exceed {FAILURE_BYTES}")
+        fields[i] = data
+
     try:
-        for i, (_, job) in enumerate(forked):
+        for i in range(len(forked)):
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
-                    job()
+                    hand(i)
                     status = 0
                 except Exception as exc:
-                    texts[i] = f"{type(exc).__name__}: {exc}".encode(errors="replace")
+                    fields[i] = f"{type(exc).__name__}: {exc}".encode(errors="replace")
                 finally:
                     # Never unwind into the parent's stack (under a test runner,
                     # the child would go on running the parent's session).
                     os._exit(status)
             pids.append(pid)
-        for _, job in jobs[len(forked):]:
-            job()
+        for i in range(len(forked), len(jobs)):
+            hand(i)
     finally:
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for (name, _), text, status in zip(jobs, texts, statuses):
+    for (name, _), text, status in zip(jobs, fields, statuses):
         if os.WIFSIGNALED(status):
             raise SimulationError(f"{name} was killed by signal {os.WTERMSIG(status)}")
         if status:
             raise SimulationError(f"{name} failed: {text.decode(errors='replace')}" if text else
                                   f"{name} exited with status {os.waitstatus_to_exitcode(status)}")
+    return [pickle.loads(data) for data in fields]
 
 
 def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
@@ -141,25 +157,26 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
 
     Step k is X <- X S_k^T + V_k, S_k = I + dt F(a_k), where V_k is each
     agent's noise increment plus, unless ``forcing`` is None, a_k * forcing,
-    on its last component.  The gains reach only the ``drift.last`` rows of
-    S_k, built for a block with one matmul by ``spread``.  The steps go in
+    on its last component, in the noise rows: the last len(noise.streams)
+    rows of X.  The gains reach only the ``drift.last`` rows of S_k, written
+    for a block in one pass as a_b @ spread + phi.  The steps go in
     sub-blocks of W, aligned to step 0 (the grid's last padded with identity
     maps and zero increments).  With Q_j = S_{j+1}^T ... S_{W-1}^T, a
-    sub-block's steps are X <- X P + v G, P = S_0^T Q_0, with v (rows, W M)
-    its increments and G (W M, D) its Q_j's last-component rows, stacked.  A
-    block builds the Q_j, P and v G of all its sub-blocks in W stacked
-    matmuls; each sub-block then costs one matmul in Python, and a sample
-    inside one is stepped to one step at a time from its start.
+    sub-block's steps are X <- X P + v G, P = S_0^T Q_0, with v (noise rows,
+    W M) its increments and G (W M, D) its Q_j's last-component rows,
+    stacked.  A block builds the Q_j, P and v G of all its sub-blocks in W
+    stacked matmuls; each sub-block then costs one matmul in Python, and a
+    sample inside one is stepped to one step at a time from its start.
 
     Trials run in ``_ranges``, one ``_split`` job each.  One trial splits its
     steps instead, at the sub-block boundary K halfway through the grid: one
-    job steps x0 to X_K at step K while the other steps the D + 1 rows
-    [I_D; 0] from K, with the trial's increments on the last row only, after
-    discarding the first K steps of its stream; its rows Z at a later step
-    give the state there, X_K Z[:D] + Z[D].  A block whose state leaves the
-    finite range is replayed step by step to record, per row, the first step
-    that did (or the block's last).  A split trial with such a record, or a
-    joined state that is not finite, runs again unsplit, so any
+    job steps x0 to X_K at step K and hands it back as its value, while the
+    other steps the D + 1 rows [I_D; 0] from K, the last its noise row, after
+    discarding the first K steps of the trial's stream; its rows Z at a later
+    step give the state there, X_K Z[:D] + Z[D].  A block whose state leaves
+    the finite range is replayed step by step to record, per row, the first
+    step that did (or the block's last).  A split trial with such a record,
+    or a joined state that is not finite, runs again unsplit, so any
     NonFiniteError is the unsplit run's."""
     n, dt = x0.shape[1], scen.dt
     M, D = drift.last.size, drift.base.shape[0]
@@ -168,20 +185,20 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
     scale = np.sqrt(dt) * np.sqrt(scen.noise_rate[scen.sim_nodes])
     eye = np.eye(D)
     phi = drift.base * dt + eye
-    # Coupling row p in column block p: row k of a_b @ spread is a_kp coupling[p], exactly.
-    spread = (np.eye(M)[:, :, None] * drift.coupling).reshape(M, M * D)
+    # -dt coupling row p in column block p: row k of a_b @ spread is -dt a_kp coupling[p].
+    spread = (np.eye(M)[:, :, None] * (-dt * drift.coupling)).reshape(M, M * D)
     subs = integrate.SUBS
     out = _shared((trials, samples.size, *x0.shape), np.float64)
 
     def path(X, noise, k_lo, k_hi, nxt, store, first):
         """Step the rows X from step k_lo to k_hi, storing samples nxt on; the
         state at k_hi, or at the end of the block that left the finite range."""
-        count = X.shape[0]
-        S_buf = np.empty((subs * W, D, D))
-        S_buf[...] = phi
+        rows = len(noise.streams)
+        S_buf = np.tile(phi, (subs * W, 1, 1))
         Q, P, G = np.empty((2, subs, D, D)), np.empty((subs, D, D)), np.empty((subs, W, M, D))
-        C = np.empty((subs, count, D))  # each sub-block's v G
-        Y = np.empty((count, D))
+        G[:, W - 1] = eye[n - 1::n]
+        C = np.empty((subs, rows, D))  # each sub-block's v G
+        Y = np.empty(X.shape)
         if wanted[nxt] == k_lo:
             store(X, nxt)
             nxt += 1
@@ -192,19 +209,12 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
             a_b = scen.profile.gain_all(np.arange(k0, k1) * dt)
             v = noise.block(a_b)
             if forcing is not None:
-                v[-len(noise.streams):] += a_b * forcing
+                v += a_b * forcing
             V = noise.buf[:, :n_sub * W]
             V[:, nb:] = 0.0
             S = S_buf[:n_sub * W]
-            # (base - a coupling) dt + I on the gain rows, in G's buffer until G is built.
-            T = G.reshape(-1)[:nb * M * D].reshape(nb, M, D)
-            np.matmul(a_b, spread, out=T.reshape(nb, M * D))
-            np.subtract(drift.base[n - 1::n], T, out=T)
-            T *= dt
-            T += eye[n - 1::n]
-            S[:nb, n - 1::n] = T
+            np.add((a_b @ spread).reshape(nb, M, D), phi[n - 1::n], out=S[:nb, n - 1::n])
             S[nb:] = eye
-            G[:, W - 1] = eye[n - 1::n]
             # Q_{W-2} = S_{W-1}^T, then Q_{j-1} = S_j^T Q_j down to P, for every
             # sub-block at once, alternating between the two Q buffers.
             St = S.reshape(n_sub, W, D, D).swapaxes(-1, -2)
@@ -212,22 +222,21 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
             for j in range(W - 2, -1, -1):
                 G[:n_sub, j] = Qj[:, n - 1::n]
                 Qj = np.matmul(St[:, j], Qj, out=Q[j % 2, :n_sub] if j else P[:n_sub])
-            v_subs = V.reshape(count, n_sub, W * M).swapaxes(0, 1)
+            v_subs = V.reshape(rows, n_sub, W * M).swapaxes(0, 1)
             np.matmul(v_subs, G[:n_sub].reshape(n_sub, W * M, D), out=C[:n_sub])
             start = X.copy()
             for s in range(n_sub):
                 k = k0 + s * W
                 end = k + W
                 np.matmul(X, P[s], out=Y)
-                Y += C[s]
-                Z = X  # stepped one step at a time to each sample inside
-                while wanted[nxt] < end:
-                    for k in range(k, wanted[nxt]):
-                        Z = Z @ S[k - k0].T
-                        Z[:, n - 1::n] += V[:, k - k0]
-                    k = wanted[nxt]
-                    store(Z, nxt)
-                    nxt += 1
+                Y[-rows:] += C[s]
+                if wanted[nxt] < end:  # samples inside, each stepped to from the start
+                    for k, Z in enumerate(_replay(X, S[s * W:], V[:, s * W:], n), k + 1):
+                        if k == wanted[nxt]:
+                            store(Z, nxt)
+                            nxt += 1
+                            if wanted[nxt] >= end:
+                                break
                 if wanted[nxt] == end:
                     store(Y, nxt)
                     nxt += 1
@@ -241,13 +250,15 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
         return X
 
     def trials_job(part, k_hi, first):
+        """Step the trials ``part`` from x0 to step k_hi; a lone trial's state there."""
         rows = out[part.start:part.stop]
 
         def store(state, i):
             rows[:, i, nodes] = state.reshape(len(part), M, n)
 
         X = np.tile(x0[nodes].reshape(-1), (len(part), 1))
-        return path(X, _Noise(seed, part, scale), 0, k_hi, 0, store, first[part.start:part.stop])
+        end = path(X, _Noise(seed, part, scale), 0, k_hi, 0, store, first[part.start:part.stop])
+        return end if trials == 1 else None
 
     K = W * (-(-scen.steps // W) // 2)
     if trials == 1 and K:
@@ -260,15 +271,14 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
 
         def second_half():
             noise = _Noise(seed, range(1), scale)
-            noise.buf = np.zeros((D + 1, *noise.buf.shape[1:]))  # trial 0 draws into the last row
             noise.skip(K)
             far[-1] = path(np.eye(D + 1, D), noise, K, scen.steps, i0, far_store,
                            np.zeros(D + 1, np.int64))
 
-        first, ends = np.zeros(1, np.int64), []
-        _split([(f"worker for steps {K}-{scen.steps - 1}", second_half),
-                ("first half", lambda: ends.append(trials_job(range(1), K, first)))])
-        joined = ends[0] @ far[:, :D] + far[:, D:]
+        first = np.zeros(1, np.int64)
+        _, end = _split([(f"worker for steps {K}-{scen.steps - 1}", second_half),
+                         ("first half", partial(trials_job, range(1), K, first))])
+        joined = end @ far[:, :D] + far[:, D:]
         if not first.any() and np.isfinite(joined).all():
             out[0][i0:, nodes] = joined[:-1].reshape(-1, M, n)
             return out

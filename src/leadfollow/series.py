@@ -38,10 +38,6 @@ class MomentSeries:
             raise ValueError("standard errors only defined for Monte Carlo series")
         return self.halfwidth / 1.96
 
-    def window(self, t_lo: float, t_hi: float) -> np.ndarray:
-        """Boolean mask of sample times inside [t_lo, t_hi]."""
-        return (self.times >= t_lo) & (self.times <= t_hi)
-
     def to_csv(self, path) -> None:
         """One row per sample time per follower, time-major."""
         s, f = np.indices(self.mse.shape).reshape(2, -1)

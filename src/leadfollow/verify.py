@@ -9,7 +9,6 @@ never a genuine t -> infinity statement.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,30 +212,24 @@ def run_battery(scen, mc=None, oracle=None) -> VerifyReport:
     must correspond to the same scenario).  A slope window too narrow is
     refused before anything runs.  After the Monte Carlo batch, the three
     scenario-free self-tests run as one ``sde._split`` job while this process
-    computes the oracle, if not given, and runs the scenario's checks; their
-    results come back pickled into a shared field, and raise if it is too small.
+    computes the oracle, if not given, and runs the scenario's checks; both
+    jobs' results come back as ``_split``'s values.
     """
     if scen.leaderless:
         raise UnsuitedError("the verification battery requires a leader-following scenario")
     fit_window(scen.sample_times, _slope_window(scen))
     if mc is None:
         mc = monte_carlo_moments(scen)
-    handed, own = sde._shared((1,), f"S{sde.FAILURE_BYTES}"), []
-
-    def self_tests():
-        data = pickle.dumps((check_follower_spectrum(), check_controller_identities(),
-                             check_jordan_recursion()))
-        if len(data) > sde.FAILURE_BYTES:
-            raise ValueError(f"self-test results of {len(data)} bytes exceed {sde.FAILURE_BYTES}")
-        handed[0] = data
 
     def scenario_checks():
         series = evolve_moments(scen) if oracle is None else oracle
-        own.extend([check_reduction_consistency(scen), check_oracle_agreement(mc, series),
-                    check_oracle_slope(scen, series), check_transition_bound(scen),
-                    *check_gain_decay(scen), *check_filter_tails(scen)])
+        return (check_reduction_consistency(scen), check_oracle_agreement(mc, series),
+                check_oracle_slope(scen, series), check_transition_bound(scen),
+                *check_gain_decay(scen), *check_filter_tails(scen))
 
-    sde._split([("self-tests", self_tests), ("scenario checks", scenario_checks)])
-    spectrum, identities, jordan = pickle.loads(handed[0])
+    (spectrum, identities, jordan), own = sde._split([
+        ("self-tests", lambda: (check_follower_spectrum(), check_controller_identities(),
+                                check_jordan_recursion())),
+        ("scenario checks", scenario_checks)])
     return VerifyReport(scenario_hash=scen.fingerprint,
                         results=(spectrum, identities, *own[:3], jordan, *own[3:]))

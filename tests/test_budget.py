@@ -7,7 +7,7 @@ from pathlib import Path
 import leadfollow
 
 MAX_DEFAULTS = 11
-MAX_LINES = 2334
+MAX_LINES = 2332
 PACKAGE = Path(leadfollow.__file__).parent
 TESTS = Path(__file__).parent
 

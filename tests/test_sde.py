@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import pickle
 import signal
 import tracemalloc
 
@@ -10,6 +11,7 @@ import pytest
 import leadfollow as lf
 from leadfollow import integrate, sde, verify
 from leadfollow.scenario import scenario_from_dict
+from leadfollow.verify import CheckResult
 
 from conftest import dense_drift, dense_noise_routing, noiseless
 
@@ -463,6 +465,56 @@ def test_second_half_failure_surfaces_and_is_reaped(fig1, monkeypatch, deadline,
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_noise_buffer_holds_only_its_streams_rows(fig1, monkeypatch, deadline, workers):
+    """Both halves of a one-trial run draw into a buffer of one row per
+    stream: the second half's D + 1 rows take noise on their last row alone,
+    and no zero rows are drawn, scaled or stepped for the others."""
+    scen = _split_scenario(fig1)
+    parent, block = os.getpid(), sde._Noise.block
+    counts = sde._shared((2, 2), np.int64)  # per process: blocks drawn, of them one row per stream
+
+    def recorded(self, a_b):
+        buf = block(self, a_b)
+        row = counts[int(os.getpid() != parent)]
+        row += [1, len(buf) == len(self.streams)]
+        return buf
+
+    monkeypatch.setattr(sde, "WORKERS", workers)
+    monkeypatch.setattr(sde._Noise, "block", recorded)
+    sde._run_full(scen, 5, 1)
+    K, per_block = _split_step(scen), integrate.SUBS * integrate.W
+    assert counts[:, 0].sum() == -(-K // per_block) + -(-(scen.steps - K) // per_block)
+    assert (counts[1, 0] > 0) == (workers == 2)  # the forked second half drew its own
+    assert np.array_equal(counts[:, 1], counts[:, 0])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("value", [None, np.arange(12.0).reshape(3, 4),
+                                   (CheckResult("a", 0.5, 1.0, "<=", True),
+                                    CheckResult("b", 2.0, 1.0, ">=", True, surrogate=True))],
+                         ids=["none", "ndarray", "check_results"])
+def test_split_hands_back_every_jobs_value(monkeypatch, deadline, workers, value):
+    """A job's value comes back through its shared field, forked (the first
+    job at 2 workers) or in this process, equal to what the job returned."""
+    monkeypatch.setattr(sde, "WORKERS", workers)
+    forked, own = sde._split([("first", lambda: value), ("last", lambda: value)])
+    for got in (forked, own):
+        assert type(got) is type(value)
+        assert np.array_equal(got, value) if isinstance(value, np.ndarray) else got == value
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_split_value_too_large_for_its_field_raises(monkeypatch, deadline, workers):
+    """A value whose pickle does not fit its field raises in this process at
+    any worker count; it is never cut."""
+    big = "x" * sde.FAILURE_BYTES
+    monkeypatch.setattr(sde, "WORKERS", workers)
+    with pytest.raises(ValueError, match=f"^last returned {len(pickle.dumps(big))} bytes, "
+                                         f"which exceed {sde.FAILURE_BYTES}$"):
+        sde._split([("first", lambda: None), ("last", lambda: big)])
+
+
 def test_step_k_uses_the_gain_at_its_start(fig1):
     """Step k takes the gains a(k dt) in both its drift and its noise: a
     per-step loop on the dense drift of all nodes, with the leader stepped
@@ -557,10 +609,13 @@ def test_followers_see_the_leader_only_through_k2_x0(fig1):
     assert not np.array_equal(base[:, :, lead], shifted[:, :, lead])
 
 
-def test_engines_hold_nothing_horizon_long(fig1, fig2):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engines_hold_nothing_horizon_long(fig1, fig2, monkeypatch, deadline, workers):
     """A run's peak traced memory does not grow with its horizon: nothing the
     engines hold spans every step.  Each run is measured at t_end 2 and 8
-    with the same 3 samples, after one warm-up run."""
+    with the same 3 samples, after one warm-up run, with the one-trial run's
+    second half in this process and forked."""
+    monkeypatch.setattr(sde, "WORKERS", workers)
     runs = [(sde._run_full, fig1, 2), (sde._run_reduced, fig1, 2), (sde._run_full, fig2, 1)]
 
     def peak(run, scen, trials, t_end):
