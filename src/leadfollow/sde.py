@@ -170,10 +170,10 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
 
     Trials run in ``_ranges``, one ``_split`` job each.  One trial splits its
     steps instead, at the sub-block boundary K halfway through the grid: one
-    job steps x0 to X_K at step K and hands it back as its value, while the
-    other steps the D + 1 rows [I_D; 0] from K, the last its noise row, after
-    discarding the first K steps of the trial's stream; its rows Z at a later
-    step give the state there, X_K Z[:D] + Z[D].  A block whose state leaves
+    job steps x0 to X_K at step K into ``ends``, while the other steps the
+    D + 1 rows [I_D; 0] from K, the last its noise row, after discarding the
+    first K steps of the trial's stream; its rows Z at a later step give the
+    state there, X_K Z[:D] + Z[D].  A block whose state leaves
     the finite range is replayed step by step to record, per row, the first
     step that did (or the block's last).  A split trial with such a record,
     or a joined state that is not finite, runs again unsplit, so any
@@ -189,6 +189,7 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
     spread = (np.eye(M)[:, :, None] * (-dt * drift.coupling)).reshape(M, M * D)
     subs = integrate.SUBS
     out = _shared((trials, samples.size, *x0.shape), np.float64)
+    ends = _shared((trials, D), np.float64)  # each trial's state where its job stopped
 
     def path(X, noise, k_lo, k_hi, nxt, store, first):
         """Step the rows X from step k_lo to k_hi, storing samples nxt on; the
@@ -250,15 +251,15 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
         return X
 
     def trials_job(part, k_hi, first):
-        """Step the trials ``part`` from x0 to step k_hi; a lone trial's state there."""
+        """Step the trials ``part`` from x0 to step k_hi, leaving their state there in ``ends``."""
         rows = out[part.start:part.stop]
 
         def store(state, i):
             rows[:, i, nodes] = state.reshape(len(part), M, n)
 
         X = np.tile(x0[nodes].reshape(-1), (len(part), 1))
-        end = path(X, _Noise(seed, part, scale), 0, k_hi, 0, store, first[part.start:part.stop])
-        return end if trials == 1 else None
+        ends[part.start:part.stop] = path(X, _Noise(seed, part, scale), 0, k_hi, 0, store,
+                                          first[part.start:part.stop])
 
     K = W * (-(-scen.steps // W) // 2)
     if trials == 1 and K:
@@ -276,9 +277,9 @@ def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
                            np.zeros(D + 1, np.int64))
 
         first = np.zeros(1, np.int64)
-        _, end = _split([(f"worker for steps {K}-{scen.steps - 1}", second_half),
-                         ("first half", partial(trials_job, range(1), K, first))])
-        joined = end @ far[:, :D] + far[:, D:]
+        _split([(f"worker for steps {K}-{scen.steps - 1}", second_half),
+                ("first half", partial(trials_job, range(1), K, first))])
+        joined = ends @ far[:, :D] + far[:, D:]
         if not first.any() and np.isfinite(joined).all():
             out[0][i0:, nodes] = joined[:-1].reshape(-1, M, n)
             return out
@@ -309,8 +310,7 @@ def _run_full(scen, seed: int, trials: int) -> np.ndarray:
 
 
 def _reduced_drift(scen) -> ClosedLoopDrift:
-    """Drift -diag(a) L2 of the filtered error: the closed loop of N one-state
-    agents with A + B K1 = 0 and K2 = 1."""
+    """Drift -diag(a) L2 of the filtered error: N one-state agents, A + B K1 = 0 and K2 = 1."""
     N = scen.lap.L2.shape[0]
     return ClosedLoopDrift(base=np.zeros((N, N)), coupling=scen.lap.L2, last=np.arange(N))
 

@@ -515,6 +515,33 @@ def test_split_value_too_large_for_its_field_raises(monkeypatch, deadline, worke
         sde._split([("first", lambda: None), ("last", lambda: big)])
 
 
+@pytest.mark.parametrize("t_end", [0.032, 0.016], ids=["split", "one_sub_block"])
+def test_one_trial_end_state_larger_than_a_split_field(fig1, monkeypatch, deadline, t_end):
+    """A one-trial run whose state's pickle exceeds FAILURE_BYTES (64
+    followers of order 8, D = 512) runs, split into two halves at 32 steps
+    and unsplit at 16, at 1 and 2 workers alike, and is trial 0 of a batch up
+    to round-off."""
+    raw = json.loads(fig1.raw_json)
+    followers = 64
+    weights = np.zeros((followers + 1, followers + 1))
+    weights[np.arange(1, followers + 1), np.arange(followers)] = 1.0
+    raw["graph"]["weights"] = weights.tolist()
+    raw["plant"] = {"alpha": [0.0] * 8, "b": [1, 7, 21, 35, 35, 21, 7]}  # K2 = (s + 1)^7
+    raw["gains"]["agents"] = [raw["gains"]["agents"][i % 5] for i in range(followers + 1)]
+    raw["init"]["states"] = np.cos(np.arange((followers + 1) * 8.0)).reshape(-1, 8).tolist()
+    raw["integration"] = {"dt": 0.001, "t_end": t_end, "sample_times": [0.0, 0.01, t_end]}
+    scen = scenario_from_dict(raw)
+    assert len(pickle.dumps(np.zeros((1, scen.drift().base.shape[0])))) > sde.FAILURE_BYTES
+    assert (_split_step(scen) > 0) == (t_end > 0.016)
+    monkeypatch.setattr(integrate, "SUBS", 1)  # keeps each block's D x D maps to 16
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(sde, "WORKERS", workers)
+        runs.append(sde._run_full(scen, 5, 1))
+    assert np.array_equal(runs[0], runs[1])
+    assert np.abs(runs[0][0] - sde._run_full(scen, 5, 2)[0]).max() <= 1e-12
+
+
 def test_step_k_uses_the_gain_at_its_start(fig1):
     """Step k takes the gains a(k dt) in both its drift and its noise: a
     per-step loop on the dense drift of all nodes, with the leader stepped
