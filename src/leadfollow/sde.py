@@ -1,7 +1,7 @@
 """Euler-Maruyama paths of the noisy consensus closed loop: one engine,
 ``_run``, steps the full system (``simulate_full``) and the filtered error
-(``simulate_reduced``).  README says what a path depends on; ``_run`` and
-``_split`` say how."""
+(``simulate_reduced``).  README says what a path depends on; ``_em_blocks``
+(the steps), ``_path`` (their composition), ``_run`` and ``_split`` say how."""
 
 from __future__ import annotations
 
@@ -49,14 +49,14 @@ class Trajectory:
 
 
 class _Noise:
-    """Per-trial streams, Philox keyed on [seed, t], drawn one block of steps at
-    a time, step-major, into ``buf``: one row per trial."""
+    """Per-trial streams, Philox keyed on [seed, t], drawn up to ``steps`` steps
+    at a time, step-major, into ``buf``: one row per trial."""
 
-    def __init__(self, seed: int, trials: range, scale: np.ndarray):
+    def __init__(self, seed: int, trials: range, scale: np.ndarray, steps: int):
         self.streams = [np.random.Generator(np.random.Philox(key=np.array([seed, t], np.uint64)))
                         for t in trials]
         self.scale = scale  # (M,) sqrt(dt q): the increment's standard deviation at gain 1
-        self.buf = np.zeros((len(trials), integrate.SUBS * W, scale.size))
+        self.buf = np.zeros((len(trials), steps, scale.size))
 
     def skip(self, steps: int) -> None:
         """Draw and discard each stream's first ``steps`` steps, a buffer row at a time."""
@@ -90,6 +90,100 @@ def _first_nonfinite(X, S, V, n, k0, first) -> None:
         if (bad := ~np.isfinite(Z).all(axis=1)).any():
             first[bad] = k
             return
+
+
+def _em_blocks(scen, drift, forcing, seed: int, part: range, k_lo: int, k_hi: int):
+    """Yield the Euler-Maruyama maps S (steps, D, D) and increments V
+    (len(part), steps, M) of the trials ``part`` from step k_lo to k_hi, in
+    blocks of at most integrate.SUBS sub-blocks of W steps, the last sub-block
+    padded with identity maps and zero increments.  S_k = I + dt F(a_k): the
+    gains reach only its ``drift.last`` rows, written for a block in one pass
+    as a_b @ spread + phi.  V_k is each agent's noise increment plus, unless
+    ``forcing`` is None, a_k * forcing, on its last component."""
+    dt, M, D = scen.dt, drift.last.size, drift.base.shape[0]
+    n, eye = D // M, np.eye(D)
+    steps = W * min(integrate.SUBS, -(-(k_hi - k_lo) // W))
+    noise = _Noise(seed, part, np.sqrt(dt) * np.sqrt(scen.noise_rate[scen.sim_nodes]), steps)
+    noise.skip(k_lo)
+    phi = drift.base * dt + eye
+    # -dt coupling row p in column block p: row k of a_b @ spread is -dt a_kp coupling[p].
+    spread = (np.eye(M)[:, :, None] * (-dt * drift.coupling)).reshape(M, M * D)
+    S_buf = np.tile(phi, (steps, 1, 1))
+    for k0 in range(k_lo, k_hi, steps):
+        nb = min(steps, k_hi - k0)
+        whole = nb + -nb % W  # the block's steps, padded to whole sub-blocks
+        a_b = scen.profile.gain_all(np.arange(k0, k0 + nb) * dt)
+        v = noise.block(a_b)
+        if forcing is not None:
+            v += a_b * forcing
+        S, V = S_buf[:whole], noise.buf[:, :whole]
+        V[:, nb:] = 0.0
+        np.add((a_b @ spread).reshape(nb, M, D), phi[n - 1::n], out=S[:nb, n - 1::n])
+        S[nb:] = eye
+        yield S, V
+
+
+def _path(X, blocks, k_lo: int, k_hi: int, samples, dest, nodes, first, end) -> None:
+    """Step the rows X from step k_lo to k_hi as ``_replay`` does, by the
+    ``blocks`` (S, V) of whole W-step sub-blocks, none longer than the first;
+    store the state at each sample step samples[i] it reaches in
+    dest[i][:, nodes] (dest: samples, rows, agents, n), and at k_hi in ``end``.
+
+    With Q_j = S_{j+1}^T ... S_{W-1}^T, a sub-block's steps are X <- X P + v G,
+    P = S_0^T Q_0, with v (noise rows, W M) its increments and G (W M, D) its
+    Q_j's last-component rows, stacked.  A block builds the Q_j, P and v G of
+    all its sub-blocks in W stacked matmuls; each sub-block then costs one
+    matmul in Python, and a sample inside one is stepped to one step at a
+    time from its start.  A block whose state leaves the finite range is
+    replayed step by step to record in ``first``, per row, the first step
+    that did (or the block's last), and its end state goes to ``end``."""
+    n, D, Y = dest.shape[-1], X.shape[1], np.empty(X.shape)
+    wanted = samples.tolist() + [k_hi + W]  # closed past every sub-block's end
+    nxt = int(np.searchsorted(samples, k_lo))
+    if wanted[nxt] == k_lo:
+        dest[nxt][:, nodes] = X.reshape(len(X), -1, n)
+        nxt += 1
+    k0 = k_lo
+    for S, V in blocks:
+        (rows, steps, M), n_sub = V.shape, len(S) // W
+        if k0 == k_lo:  # buffers for the first block's sub-blocks
+            Q, P = np.empty((2, n_sub, D, D)), np.empty((n_sub, D, D))
+            G, C = np.empty((n_sub, W, M, D)), np.empty((n_sub, rows, D))  # C: each sub-block's v G
+            G[:, W - 1] = np.eye(D)[n - 1::n]
+        # Q_{W-2} = S_{W-1}^T, then Q_{j-1} = S_j^T Q_j down to P, for every
+        # sub-block at once, alternating between the two Q buffers.
+        St = S.reshape(n_sub, W, D, D).swapaxes(-1, -2)
+        Qj = St[:, W - 1]
+        for j in range(W - 2, -1, -1):
+            G[:n_sub, j] = Qj[:, n - 1::n]
+            Qj = np.matmul(St[:, j], Qj, out=Q[j % 2, :n_sub] if j else P[:n_sub])
+        v_subs = V.reshape(rows, n_sub, W * M).swapaxes(0, 1)
+        np.matmul(v_subs, G[:n_sub].reshape(n_sub, W * M, D), out=C[:n_sub])
+        start = X.copy()
+        for s in range(n_sub):
+            k, k1 = k0 + s * W, k0 + (s + 1) * W
+            np.matmul(X, P[s], out=Y)
+            Y[-rows:] += C[s]
+            if wanted[nxt] < k1:  # samples inside, each stepped to from the start
+                for k, Z in enumerate(_replay(X, S[s * W:], V[:, s * W:], n), k + 1):
+                    if k == wanted[nxt]:
+                        dest[nxt][:, nodes] = Z.reshape(len(Z), -1, n)
+                        nxt += 1
+                        if wanted[nxt] >= k1:
+                            break
+            if wanted[nxt] == k1:
+                dest[nxt][:, nodes] = Y.reshape(len(Y), -1, n)
+                nxt += 1
+            X, Y = Y, X
+        if not np.isfinite(X).all():
+            nb = min(steps, k_hi - k0)
+            _first_nonfinite(start, S[:nb], V[:, :nb], n, k0, first)
+            if not first.any():
+                # The composed state left the finite range where no single step did.
+                first[~np.isfinite(X).all(axis=1)] = k0 + nb
+            break
+        k0 += steps
+    end[...] = X
 
 
 def _ranges(trials: int) -> list[range]:
@@ -153,144 +247,50 @@ def _split(jobs: list) -> list:
 def _run(scen, drift, x0, nodes, forcing, seed: int, trials: int) -> np.ndarray:
     """Batched Euler-Maruyama paths of the agents ``nodes`` (rows of x0, n =
     x0.shape[1] states each) under ``drift`` at the S sample times: (trials,
-    S, *x0.shape), the rows outside ``nodes`` unset.
-
-    Step k is X <- X S_k^T + V_k, S_k = I + dt F(a_k), where V_k is each
-    agent's noise increment plus, unless ``forcing`` is None, a_k * forcing,
-    on its last component, in the noise rows: the last len(noise.streams)
-    rows of X.  The gains reach only the ``drift.last`` rows of S_k, written
-    for a block in one pass as a_b @ spread + phi.  The steps go in
-    sub-blocks of W, aligned to step 0 (the grid's last padded with identity
-    maps and zero increments).  With Q_j = S_{j+1}^T ... S_{W-1}^T, a
-    sub-block's steps are X <- X P + v G, P = S_0^T Q_0, with v (noise rows,
-    W M) its increments and G (W M, D) its Q_j's last-component rows,
-    stacked.  A block builds the Q_j, P and v G of all its sub-blocks in W
-    stacked matmuls; each sub-block then costs one matmul in Python, and a
-    sample inside one is stepped to one step at a time from its start.
+    S, *x0.shape), the rows outside ``nodes`` unset.  ``_em_blocks`` makes
+    the steps, and ``_path`` takes them, in sub-blocks of W aligned to step 0.
 
     Trials run in ``_ranges``, one ``_split`` job each.  One trial splits its
     steps instead, at the sub-block boundary K halfway through the grid: one
-    job steps x0 to X_K at step K into ``ends``, while the other steps the
-    D + 1 rows [I_D; 0] from K, the last its noise row, after discarding the
-    first K steps of the trial's stream; its rows Z at a later step give the
-    state there, X_K Z[:D] + Z[D].  A block whose state leaves
-    the finite range is replayed step by step to record, per row, the first
-    step that did (or the block's last).  A split trial with such a record,
-    or a joined state that is not finite, runs again unsplit, so any
-    NonFiniteError is the unsplit run's."""
-    n, dt = x0.shape[1], scen.dt
-    M, D = drift.last.size, drift.base.shape[0]
-    samples = scen.sample_steps()
-    wanted = samples.tolist() + [scen.steps + W]  # closed past every sub-block's end
-    scale = np.sqrt(dt) * np.sqrt(scen.noise_rate[scen.sim_nodes])
-    eye = np.eye(D)
-    phi = drift.base * dt + eye
-    # -dt coupling row p in column block p: row k of a_b @ spread is -dt a_kp coupling[p].
-    spread = (np.eye(M)[:, :, None] * (-dt * drift.coupling)).reshape(M, M * D)
-    subs = integrate.SUBS
+    job steps x0 to X_K at step K, while the other steps the D + 1 rows
+    [I_D; 0] from K, the last its noise row, after discarding the first K
+    steps of the trial's stream; its rows Z at a later step give the state
+    there, X_K Z[:D] + Z[D].  A split trial that left the finite range in
+    either half, or whose joined state is not finite, runs again unsplit, so
+    any NonFiniteError is the unsplit run's."""
+    (M, n), D = x0[nodes].shape, drift.base.shape[0]
+    samples, steps, X0 = scen.sample_steps(), scen.steps, x0[nodes].reshape(1, -1)
+    blocks = partial(_em_blocks, scen, drift, forcing, seed)
     out = _shared((trials, samples.size, *x0.shape), np.float64)
     ends = _shared((trials, D), np.float64)  # each trial's state where its job stopped
-
-    def path(X, noise, k_lo, k_hi, nxt, store, first):
-        """Step the rows X from step k_lo to k_hi, storing samples nxt on; the
-        state at k_hi, or at the end of the block that left the finite range."""
-        rows = len(noise.streams)
-        S_buf = np.tile(phi, (subs * W, 1, 1))
-        Q, P, G = np.empty((2, subs, D, D)), np.empty((subs, D, D)), np.empty((subs, W, M, D))
-        G[:, W - 1] = eye[n - 1::n]
-        C = np.empty((subs, rows, D))  # each sub-block's v G
-        Y = np.empty(X.shape)
-        if wanted[nxt] == k_lo:
-            store(X, nxt)
-            nxt += 1
-        for k0 in range(k_lo, k_hi, subs * W):
-            k1 = min(k0 + subs * W, k_hi)
-            nb = k1 - k0
-            n_sub = -(-nb // W)
-            a_b = scen.profile.gain_all(np.arange(k0, k1) * dt)
-            v = noise.block(a_b)
-            if forcing is not None:
-                v += a_b * forcing
-            V = noise.buf[:, :n_sub * W]
-            V[:, nb:] = 0.0
-            S = S_buf[:n_sub * W]
-            np.add((a_b @ spread).reshape(nb, M, D), phi[n - 1::n], out=S[:nb, n - 1::n])
-            S[nb:] = eye
-            # Q_{W-2} = S_{W-1}^T, then Q_{j-1} = S_j^T Q_j down to P, for every
-            # sub-block at once, alternating between the two Q buffers.
-            St = S.reshape(n_sub, W, D, D).swapaxes(-1, -2)
-            Qj = St[:, W - 1]
-            for j in range(W - 2, -1, -1):
-                G[:n_sub, j] = Qj[:, n - 1::n]
-                Qj = np.matmul(St[:, j], Qj, out=Q[j % 2, :n_sub] if j else P[:n_sub])
-            v_subs = V.reshape(rows, n_sub, W * M).swapaxes(0, 1)
-            np.matmul(v_subs, G[:n_sub].reshape(n_sub, W * M, D), out=C[:n_sub])
-            start = X.copy()
-            for s in range(n_sub):
-                k = k0 + s * W
-                end = k + W
-                np.matmul(X, P[s], out=Y)
-                Y[-rows:] += C[s]
-                if wanted[nxt] < end:  # samples inside, each stepped to from the start
-                    for k, Z in enumerate(_replay(X, S[s * W:], V[:, s * W:], n), k + 1):
-                        if k == wanted[nxt]:
-                            store(Z, nxt)
-                            nxt += 1
-                            if wanted[nxt] >= end:
-                                break
-                if wanted[nxt] == end:
-                    store(Y, nxt)
-                    nxt += 1
-                X, Y = Y, X
-            if not np.isfinite(X).all():
-                _first_nonfinite(start, S[:nb], v, n, k0, first)
-                if not first.any():
-                    # The composed state left the finite range where no single step did.
-                    first[~np.isfinite(X).all(axis=1)] = k1
-                return X
-        return X
-
-    def trials_job(part, k_hi, first):
-        """Step the trials ``part`` from x0 to step k_hi, leaving their state there in ``ends``."""
-        rows = out[part.start:part.stop]
-
-        def store(state, i):
-            rows[:, i, nodes] = state.reshape(len(part), M, n)
-
-        X = np.tile(x0[nodes].reshape(-1), (len(part), 1))
-        ends[part.start:part.stop] = path(X, _Noise(seed, part, scale), 0, k_hi, 0, store,
-                                          first[part.start:part.stop])
-
-    K = W * (-(-scen.steps // W) // 2)
+    K = W * (-(-steps // W) // 2)
     if trials == 1 and K:
         i0 = int(np.searchsorted(samples, K, side="right"))
-        # Z at each sample after K, then at the end.
-        far = _shared((samples.size - i0 + 1, D + 1, D), np.float64)
-
-        def far_store(Z, i):
-            far[i - i0] = Z
-
-        def second_half():
-            noise = _Noise(seed, range(1), scale)
-            noise.skip(K)
-            far[-1] = path(np.eye(D + 1, D), noise, K, scen.steps, i0, far_store,
-                           np.zeros(D + 1, np.int64))
-
+        # The second half's rows Z at each sample after K, then at the end.
+        far = _shared((samples.size - i0 + 1, D + 1, M, n), np.float64)
         first = np.zeros(1, np.int64)
-        _split([(f"worker for steps {K}-{scen.steps - 1}", second_half),
-                ("first half", partial(trials_job, range(1), K, first))])
-        joined = ends @ far[:, :D] + far[:, D:]
+        _split([(f"worker for steps {K}-{steps - 1}",
+                 partial(_path, np.eye(D + 1, D), blocks(range(1), K, steps), K, steps,
+                         samples[i0:], far, slice(None), np.zeros(D + 1, np.int64),
+                         far[-1].reshape(D + 1, D))),
+                ("first half", partial(_path, X0.copy(), blocks(range(1), 0, K), 0, K, samples,
+                                       out.swapaxes(0, 1), nodes, first, ends))])
+        Z = far.reshape(-1, D + 1, D)
+        joined = ends @ Z[:, :D] + Z[:, D:]
         if not first.any() and np.isfinite(joined).all():
             out[0][i0:, nodes] = joined[:-1].reshape(-1, M, n)
             return out
 
     first = _shared((trials,), np.int64)
-    _split([(f"worker for trials {p.start}-{p.stop - 1}", partial(trials_job, p, scen.steps, first))
+    _split([(f"worker for trials {p.start}-{p.stop - 1}",
+             partial(_path, np.tile(X0, (len(p), 1)), blocks(p, 0, steps), 0, steps, samples,
+                     out[p.start:p.stop].swapaxes(0, 1), nodes, first[p.start:p.stop],
+                     ends[p.start:p.stop]))
             for p in _ranges(trials)])
     if first.any():
         # The earliest step any trial left the finite range, and every trial that did then.
         step = int(first[first > 0].min())
-        raise NonFiniteError(step * dt, np.flatnonzero(first == step))
+        raise NonFiniteError(step * scen.dt, np.flatnonzero(first == step))
     return out
 
 

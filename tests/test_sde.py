@@ -102,8 +102,8 @@ def test_noise_channel_independence():
     unit-variance and free of lag-one correlation in the order the simulator
     consumes them."""
     trials, M, steps = 6, 4, 100000
-    noise = sde._Noise(123, range(trials), np.ones(M))
     block = integrate.SUBS * integrate.W
+    noise = sde._Noise(123, range(trials), np.ones(M), block)
     chunks = []
     for k0 in range(0, steps, block):
         nb = min(block, steps - k0)
@@ -520,7 +520,9 @@ def test_one_trial_end_state_larger_than_a_split_field(fig1, monkeypatch, deadli
     """A one-trial run whose state's pickle exceeds FAILURE_BYTES (64
     followers of order 8, D = 512) runs, split into two halves at 32 steps
     and unsplit at 16, at 1 and 2 workers alike, and is trial 0 of a batch up
-    to round-off."""
+    to round-off.  Its block buffers hold the path's sub-blocks, not a whole
+    block: in this process its traced peak stays under 128 MB, where one
+    block of 256 D x D maps takes 512 MB."""
     raw = json.loads(fig1.raw_json)
     followers = 64
     weights = np.zeros((followers + 1, followers + 1))
@@ -533,13 +535,71 @@ def test_one_trial_end_state_larger_than_a_split_field(fig1, monkeypatch, deadli
     scen = scenario_from_dict(raw)
     assert len(pickle.dumps(np.zeros((1, scen.drift().base.shape[0])))) > sde.FAILURE_BYTES
     assert (_split_step(scen) > 0) == (t_end > 0.016)
-    monkeypatch.setattr(integrate, "SUBS", 1)  # keeps each block's D x D maps to 16
-    runs = []
-    for workers in (1, 2):
-        monkeypatch.setattr(sde, "WORKERS", workers)
-        runs.append(sde._run_full(scen, 5, 1))
+    assert integrate.SUBS * integrate.W == 256
+    monkeypatch.setattr(sde, "WORKERS", 1)
+    tracemalloc.start()
+    try:
+        runs = [sde._run_full(scen, 5, 1)]
+        assert tracemalloc.get_traced_memory()[1] < 128 * 2**20
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(sde, "WORKERS", 2)
+    runs.append(sde._run_full(scen, 5, 1))
     assert np.array_equal(runs[0], runs[1])
     assert np.abs(runs[0][0] - sde._run_full(scen, 5, 2)[0]).max() <= 1e-12
+
+
+def _padded_blocks(S, V, per_block):
+    """A hand-made producer: the maps S and increments V in blocks of
+    ``per_block`` steps, the last sub-block padded with identity maps and
+    zero increments."""
+    for b0 in range(0, len(S), per_block):
+        S_b, V_b = S[b0:b0 + per_block], V[:, b0:b0 + per_block]
+        pad = -len(S_b) % integrate.W
+        yield (np.concatenate([S_b, np.tile(np.eye(S.shape[1]), (pad, 1, 1))]),
+               np.concatenate([V_b, np.zeros((len(V), pad, V.shape[2]))], axis=1))
+
+
+def test_path_composes_any_producers_blocks():
+    """_path steps any blocks it is given as a per-step loop does: dense
+    random maps S_k, increments on the last 3 of 5 rows, from k_lo = 32 over
+    53 steps (no whole number of sub-blocks) in blocks of 2 sub-blocks.  The
+    samples at a sub-block start, inside one, at one's end and at k_hi match
+    the loop to 1e-12 of its scale, and a sample before k_lo is left unset.
+    An inf in one increment marks, in ``first``, the loop's first step with a
+    non-finite row, on that row alone."""
+    W, M, n, rows, noisy = integrate.W, 3, 2, 5, 3
+    D, k_lo, steps = M * n, 2 * W, 53
+    rng = np.random.default_rng(11)
+    S = np.eye(D) + 0.2 * rng.standard_normal((steps, D, D))
+    V = rng.standard_normal((noisy, steps, M))
+    X0 = rng.standard_normal((rows, D))
+    samples = np.array([5, k_lo, k_lo + 20, k_lo + 3 * W, k_lo + steps])
+
+    def loop(V):
+        X, states = X0.copy(), [X0]
+        for k in range(steps):
+            X = X @ S[k].T
+            X[-noisy:, n - 1::n] += V[:, k]
+            states.append(X)
+        return np.array(states)
+
+    ref, dest, end = loop(V), np.zeros((samples.size, rows, M, n)), np.empty((rows, D))
+    first = np.zeros(rows, np.int64)
+    sde._path(X0.copy(), _padded_blocks(S, V, 2 * W), k_lo, k_lo + steps, samples, dest,
+              slice(None), first, end)
+    assert not dest[0].any() and not first.any()
+    got, want = dest[1:].reshape(-1, rows, D), ref[samples[1:] - k_lo]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(end, ref[-1], rtol=1e-12, atol=1e-12 * np.abs(ref[-1]).max())
+    V[1, 40, 2] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = ~np.isfinite(loop(V)).all(axis=2)
+        sde._path(X0.copy(), _padded_blocks(S, V, 2 * W), k_lo, k_lo + steps, samples, dest,
+                  slice(None), first, end)
+    step = int(np.flatnonzero(bad.any(axis=1))[0])
+    assert step == 41 and bad[step].sum() == 1
+    assert np.array_equal(first, np.where(bad[step], k_lo + step, 0))
 
 
 def test_step_k_uses_the_gain_at_its_start(fig1):
