@@ -102,7 +102,7 @@ def _em_blocks(scen, drift, forcing, seed: int, part: range, k_lo: int, k_hi: in
     ``forcing`` is None, a_k * forcing, on its last component."""
     dt, M, D = scen.dt, drift.last.size, drift.base.shape[0]
     n, eye = D // M, np.eye(D)
-    steps = W * min(integrate.SUBS, -(-(k_hi - k_lo) // W))
+    steps = W * max(1, min(integrate.SUBS, -(-(k_hi - k_lo) // W)))  # 0 steps: a W-step buffer
     noise = _Noise(seed, part, np.sqrt(dt) * np.sqrt(scen.noise_rate[scen.sim_nodes]), steps)
     noise.skip(k_lo)
     phi = drift.base * dt + eye

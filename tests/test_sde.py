@@ -156,6 +156,19 @@ def test_single_trial_matches_trial_zero(fig1):
     assert np.abs(one[0] - batch[0]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_zero_step_run_returns_the_initial_state(fig1, monkeypatch, deadline, workers):
+    """A t_end under dt / 2 rounds to 0 steps; the one sample, at step 0, is x0."""
+    monkeypatch.setattr(sde, "WORKERS", workers)
+    scen = fig1.with_overrides(t_end=4e-4, sample_times=[4e-4])
+    assert scen.steps == 0 and scen.sample_steps().tolist() == [0]
+    x0 = scen.init_states
+    err0 = (x0[scen.sim_nodes] - x0[scen.graph.leader_index]) @ scen.plant.K2[0]
+    for trials in (1, 4):
+        assert np.array_equal(sde._run_full(scen, 3, trials), np.tile(x0, (trials, 1, 1, 1)))
+        assert np.array_equal(sde._run_reduced(scen, 3, trials), np.tile(err0, (trials, 1, 1)))
+
+
 def test_noise_rate_matches_dense_routing(fig1):
     """q is the last-component diagonal of G G^T for the dense per-edge noise
     routing G, with non-integer weights and an edge without noise; the

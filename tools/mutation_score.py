@@ -1,25 +1,26 @@
 """Mutation score of the checks: which catalogued one-line mutants ``verify``
 and Tier-1 catch.
 
-Usage, from the root of a checkout (stdlib only; about 30 s per mutant):
+Usage (stdlib only; about 30 s per mutant):
 
-    python3 tools/mutation_score.py [--root DIR] [--catalogue FILE]
+    python3 tools/mutation_score.py
 
-Each entry of the catalogue (default ``tools/mutants.json``) has a
-``name``, what the mutant breaks (``why``), a ``file`` under the root, a
-text (``old``) that must occur in it exactly once, the text that replaces it
-(``new``), and the runs expected to catch the mutant (``caught_by``, from
-"verify" and "tier1").  Every mutant is made in its own temporary copy of
-the root; the checkout is never edited.  In that copy the script runs CLI
-``verify`` on the ``fig1`` preset (caught: a nonzero exit) and the Tier-1
-suite (caught: any failure), after checking that the unmutated copy passes
-both.  It prints one line per mutant, then the two scores as a JSON line,
-and exits 1 if a mutant's outcome differs from its ``caught_by``.
+It mutates the checkout it lies in, by the catalogue ``tools/mutants.json``
+next to it; to score another tree, run a copy of ``tools/`` placed in that
+tree.  Each entry of the catalogue has a ``name``, what the mutant breaks
+(``why``), a ``file`` under the root, a text (``old``) that must occur in it
+exactly once, the text that replaces it (``new``), and the runs expected to
+catch the mutant (``caught_by``, from "verify" and "tier1").  Every mutant is
+made in its own temporary copy of the root; the checkout is never edited.  In
+that copy the script runs CLI ``verify`` on the ``fig1`` preset (caught: a
+nonzero exit) and the Tier-1 suite (caught: any failure), after checking
+that the unmutated copy passes both.  It prints one line per mutant, then the
+two scores as a JSON line, and exits 1 if a mutant's outcome differs from
+its ``caught_by``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -30,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CATALOGUE = ROOT / "tools" / "mutants.json"
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "runs", ".perfbench_out")
 TIMEOUT = 900  # seconds per run; a run that takes longer counts as caught
 VERIFY = [sys.executable, "-c", "from leadfollow.cli import main; main()",
@@ -57,11 +59,11 @@ def run(copy: Path, command: list[str]) -> tuple[bool, str]:
     return proc.returncode != 0, detail if proc.returncode else "exit 0"
 
 
-def outcome(root: Path, entry: dict | None) -> dict:
-    """Both runs on a fresh copy of ``root``, mutated by ``entry`` unless None."""
+def outcome(entry: dict | None) -> dict:
+    """Both runs on a fresh copy of ROOT, mutated by ``entry`` unless None."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "tree"
-        shutil.copytree(root, copy, ignore=IGNORE)
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
         if entry is not None:
             path = copy / entry["file"]
             text = path.read_text()
@@ -74,19 +76,14 @@ def outcome(root: Path, entry: dict | None) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", type=Path, default=ROOT,
-                        help="tree to mutate (default: this checkout)")
-    parser.add_argument("--catalogue", type=Path, default=ROOT / "tools" / "mutants.json")
-    args = parser.parse_args()
-    entries = json.loads(args.catalogue.read_text())
-    base = outcome(args.root, None)
+    entries = json.loads(CATALOGUE.read_text())
+    base = outcome(None)
     if any(caught for caught, _ in base.values()):
         print(f"unmutated tree fails: {base}")
         return 1
     scores, surprises = {"verify": 0, "tier1": 0}, []
     for entry in entries:
-        got = outcome(args.root, entry)
+        got = outcome(entry)
         for name, (caught, _) in got.items():
             scores[name] += caught
         caught_by = [name for name, (caught, _) in got.items() if caught]
