@@ -1,10 +1,9 @@
-"""The package's one classical RK4, on any increasing time grid.
+"""The package's matrix classical RK4, on any increasing time grid.
 
-Every RK4 caller in ``src/`` integrates a real linear ODE y' = M(u(t)) y: the
-Jordan check (in the real form of its complex system) and the moment oracle
+Its callers integrate real linear ODEs y' = M(u(t)) y: the moment oracle
 directly, the filter check with its forcing in the augmented matrix
-[[M, c], [0, 0]] acting on (y, 1).  On a linear ODE one classical RK4 step of
-length h is the exact matrix map y <- R y with
+[[M, c], [0, 0]] acting on (y, 1); the Jordan check's reference is RK4 in
+scalar series (``rates``).  A classical RK4 step of length h is the map y <- R y,
 
     R = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
     K1 = M0,  K2 = Mh (I + h/2 K1),  K3 = Mh (I + h/2 K2),  K4 = M1 (I + h K3),

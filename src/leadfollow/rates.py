@@ -3,19 +3,16 @@
 The transition matrices of x' = -a(t) J x for a Jordan block J(lam) are exact:
 all the -a(t) J commute, so the matrix from t0 to t is expm(-u J) with
 u = int_{t0}^t a, upper triangular Toeplitz with i-th superdiagonal
-exp(-lam u) (-u)^i / i!.
+exp(-lam u) (-u)^i / i!.  Their RK4 reference is a function of J as well, and
+is computed as one, in scalar series arithmetic (``jordan_transition_ode``).
 
-The Monte Carlo estimator runs all trials through the batched path engine, each
-trial on its own counter-based noise stream keyed on (base seed, trial).  The
-engine splits the trials into contiguous ranges, one per usable CPU, run in
-forked worker processes (see ``sde``); each trial's path is bit-identical
-whatever the split, and the moments are aggregated in the parent in fixed
-trial order, so results are bit-reproducible and independent of the number
-of CPUs.
+The Monte Carlo moments aggregate the trials of the batched path engine
+(``sde``) in fixed trial order, so they do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,18 +140,29 @@ def jordan_log_norms(lam: complex, r: int, gain_integral) -> np.ndarray:
 
 
 def jordan_transition_ode(lam: complex, gain_fn, r: int, grid) -> np.ndarray:
-    """Independent oracle: RK4 integration of Xi' = -a(t) J Xi from I at
-    grid[0], stepped and sampled on the increasing ``grid``.
-
-    The RK4 runs in real arithmetic, on the real form [[Re J, -Im J],
-    [Im J, Re J]] acting on Y = [Re Xi; Im Xi] from [I; 0], and returns the
-    complex Xi = Y[:r] + i Y[r:].  Complex arithmetic is that real form, so
-    this is the complex RK4 to round-off."""
-    J = np.eye(r, dtype=complex) * lam + np.eye(r, k=1)
-    real_form = np.block([[J.real, -J.imag], [J.imag, J.real]])
-    Y = rk4_path(lambda a: -a[:, None, None] * real_form, np.eye(2 * r, r), gain_fn,
-                 grid, np.arange(len(grid)))
-    return Y[:, :r] + 1j * Y[:, r:]
+    """Independent oracle: classical RK4 for Xi' = -a(t) J Xi from I at grid[0],
+    stepped and sampled on the increasing ``grid``, from ``gain_fn`` samples only.
+    A step is RK4's stability polynomial p(J) = 1 + c1 J + ... + c4 J^4 in the
+    step's gains, and a function of J(lam) is upper triangular Toeplitz in its
+    Taylor coefficients at lam.  So the steps multiply as power series cut at
+    order r: the leading terms by a running product, the rest as exp of the
+    running sum of the steps' log-series."""
+    t, h = np.asarray(grid, dtype=float), np.diff(grid)
+    a = gain_fn(np.append(np.column_stack([t[:-1], t[:-1] + 0.5 * h]).ravel(), t[-1]))
+    a0, ah, a1 = a[:-1:2], a[1::2], a[2::2]
+    c = np.column_stack([np.ones_like(h), -h * (a0 + 4 * ah + a1) / 6,
+                         h ** 2 * ah * (a0 + ah + a1) / 6, -h ** 3 * ah ** 2 * (a0 + a1) / 12,
+                         h ** 4 * a0 * a1 * ah ** 2 / 24])
+    taylor = c @ np.array([[math.comb(j, i) * complex(lam) ** max(j - i, 0) for i in range(r)]
+                           for j in range(5)])
+    f, log = taylor / taylor[:, :1], np.zeros_like(taylor)
+    for n in range(1, r):  # log f: n l_n = n f_n - sum_{0<k<n} k l_k f_{n-k}
+        log[:, n] = f[:, n] - sum(k * log[:, k] * f[:, n - k] for k in range(1, n)) / n
+    L, band = np.cumsum(log, axis=0), np.zeros((t.size, r), dtype=complex)
+    band[0, 0], band[1:, 0] = 1.0, np.cumprod(taylor[:, 0])
+    for n in range(1, r):  # times exp L: n e_n = sum_{0<k<=n} k L_k e_{n-k}
+        band[1:, n] = sum(k * L[:, k] * band[1:, n - k] for k in range(1, n + 1)) / n
+    return _toeplitz_upper(band)
 
 
 def transition_bound_check(blocks, profile, eps: float, grid) -> np.ndarray:
@@ -207,16 +215,10 @@ def filter_response(b, drive_times, drive_values, init):
     if init.shape != (n,):
         raise GridMismatchError(f"initial state must have shape ({n},)")
 
-    comp = companion(b)
-
-    def M(u):
-        # The drive enters the last derivative through the augmented state (xi, 1).
-        A = np.zeros(u.shape + (n + 1, n + 1))
-        A[:, :n, :n] = comp
-        A[:, n - 1, n] = u
-        return A
-
-    states = rk4_path(M, np.append(init, 1.0), lambda s: np.interp(s, t, z), t,
-                      np.arange(t.size))[:, :n]
+    # The drive enters the last derivative through the augmented state (xi, 1).
+    comp, drive = np.zeros((2, n + 1, n + 1))
+    comp[:n, :n], drive[n - 1, n] = companion(b), 1.0
+    states = rk4_path(lambda u: comp + u[:, None, None] * drive, np.append(init, 1.0),
+                      lambda s: np.interp(s, t, z), t, np.arange(t.size))[:, :n]
     top = z - states @ b[:n]
     return np.column_stack([states, top])

@@ -93,16 +93,16 @@ def _first_nonfinite(X, S, V, n, k0, first) -> None:
 
 
 def _em_blocks(scen, drift, forcing, seed: int, part: range, k_lo: int, k_hi: int):
-    """Yield the Euler-Maruyama maps S (steps, D, D) and increments V
-    (len(part), steps, M) of the trials ``part`` from step k_lo to k_hi, in
-    blocks of at most integrate.SUBS sub-blocks of W steps, the last sub-block
-    padded with identity maps and zero increments.  S_k = I + dt F(a_k): the
-    gains reach only its ``drift.last`` rows, written for a block in one pass
-    as a_b @ spread + phi.  V_k is each agent's noise increment plus, unless
-    ``forcing`` is None, a_k * forcing, on its last component."""
+    """Yield the Euler-Maruyama maps S (steps, D, D) and increments V (len(part),
+    steps, M) of the trials ``part`` from step k_lo to k_hi, in blocks of at most
+    integrate.SUBS sub-blocks of W steps whose maps fit in 32 MiB (at least one),
+    the last sub-block padded with identity maps and zero increments.
+    S_k = I + dt F(a_k): the gains reach only its ``drift.last`` rows, written for
+    a block in one pass as a_b @ spread + phi.  V_k is each agent's noise
+    increment plus, unless ``forcing`` is None, a_k * forcing, on its last component."""
     dt, M, D = scen.dt, drift.last.size, drift.base.shape[0]
     n, eye = D // M, np.eye(D)
-    steps = W * max(1, min(integrate.SUBS, -(-(k_hi - k_lo) // W)))  # 0 steps: a W-step buffer
+    steps = W * max(1, min(integrate.SUBS, 2**25 // (8 * W * D * D), -(-(k_hi - k_lo) // W)))
     noise = _Noise(seed, part, np.sqrt(dt) * np.sqrt(scen.noise_rate[scen.sim_nodes]), steps)
     noise.skip(k_lo)
     phi = drift.base * dt + eye

@@ -145,18 +145,17 @@ def check_oracle_slope(scen, oracle) -> CheckResult:
 
 def check_jordan_recursion() -> CheckResult:
     """Closed-form expm(-u J), u the exact gain integral of a one-agent profile,
-    vs RK4 integration of Xi' = -a(t) J Xi on its gain, over random triples."""
+    vs classical RK4 for Xi' = -a(t) J Xi on its gain samples (in scalar series
+    arithmetic, see ``jordan_transition_ode``), over random triples."""
     rng = np.random.default_rng(3)
-    worst = 0.0
+    worst, grid = 0.0, np.linspace(0.5, 10.0, 8001)
     for _ in range(JORDAN_TRIPLES):
         lam = complex(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
         r = int(rng.integers(1, 5))
         mu, c, d = rng.uniform(0.3, 2.0), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
         profile = make_profile([[mu, c, d]], rng.uniform(0.2, 0.8))
-        grid = np.linspace(0.5, 10.0, 8001)
         u = profile.envelope_integral(0.5, grid)
         ode = jordan_transition_ode(lam, profile.envelope, r, grid)
-        # The closed form last and unnamed, so no RK4 temporary coexists with it.
         worst = max(worst, float(np.abs(jordan_transition(lam, r, u) - ode).max()))
     return _check("jordan_recursion_vs_ode", worst, 1e-6, "<=")
 

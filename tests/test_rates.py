@@ -9,7 +9,7 @@ from leadfollow.rates import (
     GridMismatchError, WindowTooNarrowError, jordan_log_norms, jordan_transition,
     jordan_transition_ode,
 )
-from leadfollow import integrate, rates
+from leadfollow import integrate, rates, verify
 from leadfollow.matrices import companion
 from leadfollow.series import MomentSeries
 
@@ -164,6 +164,32 @@ def test_jordan_ode_real_form_matches_complex_rk4(lam, r):
                         np.arange(grid.size))
     assert ode.shape == ref.shape
     assert np.abs(ode - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [1.3, 0.8 - 0.6j])
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_jordan_ode_constant_gain_is_a_taylor_power(lam, r):
+    """At a constant gain a on a uniform grid every RK4 step is T4(-h a J),
+    T4 the degree-4 Taylor polynomial of exp, so k steps are its k-th power."""
+    h, a = 2.0 ** -7, 1.5
+    ode = jordan_transition_ode(lam, lambda t: np.full(np.shape(t), a), r, np.arange(257) * h)
+    Z = -h * a * (np.eye(r) * lam + np.eye(r, k=1))
+    T4 = sum(np.linalg.matrix_power(Z, i) / f for i, f in enumerate((1, 1, 2, 6, 24)))
+    for k in (0, 1, 2, 5, 64, 256):
+        ref = np.linalg.matrix_power(T4, k)
+        assert np.abs(ode[k] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_jordan_check_runs_no_matrix_rk4(monkeypatch):
+    """The Jordan self-test takes its RK4 from the scalar step polynomial: it
+    passes, with its usual value, when the matrix RK4 cannot run."""
+    def no_matrix_rk4(*args, **kwargs):
+        raise AssertionError("rk4_path called")
+
+    monkeypatch.setattr(integrate, "rk4_path", no_matrix_rk4)
+    monkeypatch.setattr(rates, "rk4_path", no_matrix_rk4)
+    res = verify.check_jordan_recursion()
+    assert res.passed and 1e-12 < res.value < 3e-12
 
 
 def test_batched_transition_matches_per_point_definition():

@@ -528,6 +528,20 @@ def test_split_value_too_large_for_its_field_raises(monkeypatch, deadline, worke
         sde._split([("first", lambda: None), ("last", lambda: big)])
 
 
+def _chain(fig1, followers, t_end):
+    """fig1's leader and gains on a directed chain of ``followers`` agents of
+    order 8 (D = 8 followers), at dt 1e-3, sampled at 0, 0.01 and t_end."""
+    raw = json.loads(fig1.raw_json)
+    weights = np.zeros((followers + 1, followers + 1))
+    weights[np.arange(1, followers + 1), np.arange(followers)] = 1.0
+    raw["graph"]["weights"] = weights.tolist()
+    raw["plant"] = {"alpha": [0.0] * 8, "b": [1, 7, 21, 35, 35, 21, 7]}  # K2 = (s + 1)^7
+    raw["gains"]["agents"] = [raw["gains"]["agents"][i % 5] for i in range(followers + 1)]
+    raw["init"]["states"] = np.cos(np.arange((followers + 1) * 8.0)).reshape(-1, 8).tolist()
+    raw["integration"] = {"dt": 0.001, "t_end": t_end, "sample_times": [0.0, 0.01, t_end]}
+    return scenario_from_dict(raw)
+
+
 @pytest.mark.parametrize("t_end", [0.032, 0.016], ids=["split", "one_sub_block"])
 def test_one_trial_end_state_larger_than_a_split_field(fig1, monkeypatch, deadline, t_end):
     """A one-trial run whose state's pickle exceeds FAILURE_BYTES (64
@@ -536,16 +550,7 @@ def test_one_trial_end_state_larger_than_a_split_field(fig1, monkeypatch, deadli
     to round-off.  Its block buffers hold the path's sub-blocks, not a whole
     block: in this process its traced peak stays under 128 MB, where one
     block of 256 D x D maps takes 512 MB."""
-    raw = json.loads(fig1.raw_json)
-    followers = 64
-    weights = np.zeros((followers + 1, followers + 1))
-    weights[np.arange(1, followers + 1), np.arange(followers)] = 1.0
-    raw["graph"]["weights"] = weights.tolist()
-    raw["plant"] = {"alpha": [0.0] * 8, "b": [1, 7, 21, 35, 35, 21, 7]}  # K2 = (s + 1)^7
-    raw["gains"]["agents"] = [raw["gains"]["agents"][i % 5] for i in range(followers + 1)]
-    raw["init"]["states"] = np.cos(np.arange((followers + 1) * 8.0)).reshape(-1, 8).tolist()
-    raw["integration"] = {"dt": 0.001, "t_end": t_end, "sample_times": [0.0, 0.01, t_end]}
-    scen = scenario_from_dict(raw)
+    scen = _chain(fig1, 64, t_end)
     assert len(pickle.dumps(np.zeros((1, scen.drift().base.shape[0])))) > sde.FAILURE_BYTES
     assert (_split_step(scen) > 0) == (t_end > 0.016)
     assert integrate.SUBS * integrate.W == 256
@@ -560,6 +565,22 @@ def test_one_trial_end_state_larger_than_a_split_field(fig1, monkeypatch, deadli
     runs.append(sde._run_full(scen, 5, 1))
     assert np.array_equal(runs[0], runs[1])
     assert np.abs(runs[0][0] - sde._run_full(scen, 5, 2)[0]).max() <= 1e-12
+
+
+def test_block_maps_fit_in_32_mib(fig1, monkeypatch, deadline):
+    """A long path keeps its blocks' maps within 32 MiB: a 300-step 2-trial
+    run at D = 256 (32 followers of order 8) takes blocks of 4 sub-blocks,
+    not integrate.SUBS, and its traced peak stays under 64 MB, where one
+    block of 256 D x D maps takes 128 MB."""
+    scen = _chain(fig1, 32, 0.3)
+    assert scen.steps == 300 and integrate.SUBS * integrate.W == 256
+    monkeypatch.setattr(sde, "WORKERS", 1)
+    tracemalloc.start()
+    try:
+        sde._run_full(scen, 5, 2)
+        assert tracemalloc.get_traced_memory()[1] < 64 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _padded_blocks(S, V, per_block):
