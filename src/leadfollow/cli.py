@@ -61,15 +61,13 @@ def _run_dir(out, subcommand: str, scen) -> Path:
         "numpy": np.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
     }
-    with open(path / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return path
 
 
 def _report(path: Path, lines, ok: bool) -> None:
     """Write the report ``lines`` to ``path``, echo them, and exit 0 iff ``ok``."""
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
     for line in lines:
         click.echo(line)
     sys.exit(0 if ok else 1)
@@ -89,10 +87,8 @@ def _common(command):
                      default=None, help="Scenario config file (JSON).")(f)
     f = click.option("--trials", type=int, default=None,
                      help="Override the Monte Carlo trial count.")(f)
-    f = click.option("--seed", type=int, default=None,
-                     help="Override the base noise seed.")(f)
-    f = click.option("--dt", type=float, default=None,
-                     help="Override the integration step.")(f)
+    f = click.option("--seed", type=int, default=None, help="Override the base noise seed.")(f)
+    f = click.option("--dt", type=float, default=None, help="Override the integration step.")(f)
     f = click.option("--out", type=click.Path(file_okay=False), default=None,
                      help=f"Output directory (default ${OUT_ENV_VAR} or ./runs).")(f)
     return f
@@ -186,18 +182,13 @@ def reproduce_fig2(config, trials, seed, dt, out):
     i, j = np.triu_indices(norms.shape[1], k=1)
     gaps = np.linalg.norm(tail_states[:, i] - tail_states[:, j], axis=2).mean(axis=0)
     pair_gap = gaps.max(initial=0.0)
-    lines = [f"scenario: {scen.fingerprint}"]
-    for node in range(norms.shape[1]):
-        lines.append(
-            f"agent_{node}_norm_mean: head={head[node]:.6g} tail={tail[node]:.6g} "
-            f"grew={bool(grew[node])}"
-        )
-    lines.append(f"max_pairwise_tail_gap_mean: {pair_gap:.6g}")
-    lines.append(
-        "note: bounded pairwise differences may coexist with unbounded norms"
-    )
     ok = bool(grew.any())
-    lines.append(f"growth_witness: {'pass' if ok else 'FAIL'}")
+    lines = ([f"scenario: {scen.fingerprint}"]
+             + [f"agent_{node}_norm_mean: head={head[node]:.6g} tail={tail[node]:.6g} "
+                f"grew={bool(grew[node])}" for node in range(norms.shape[1])]
+             + [f"max_pairwise_tail_gap_mean: {pair_gap:.6g}",
+                "note: bounded pairwise differences may coexist with unbounded norms",
+                f"growth_witness: {'pass' if ok else 'FAIL'}"])
     _report(run_dir / "growth_report.txt", lines, ok)
 
 

@@ -2,23 +2,17 @@
 
 Its callers integrate real linear ODEs y' = M(u(t)) y: the moment oracle
 directly, the filter check with its forcing in the augmented matrix
-[[M, c], [0, 0]] acting on (y, 1); the Jordan check's reference is RK4 in
-scalar series (``rates``).  A classical RK4 step of length h is the map y <- R y,
+[[M, c], [0, 0]] acting on (y, 1).  A classical RK4 step of length h is y <- R y,
 
     R = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
     K1 = M0,  K2 = Mh (I + h/2 K1),  K3 = Mh (I + h/2 K2),  K4 = M1 (I + h K3),
 
 where M0, Mh and M1 are M at the start, midpoint and end of the step.  The
 steps are grouped in sub-blocks of W, aligned to multiples of W from the
-grid's first step, and a block is SUBS whole sub-blocks; only the grid's last
-sub-block is padded, with identity maps.  The maps of a block are built at
-once with stacked matmuls, and the maps inside every sub-block of a block are
-prefix-composed together, W - 1 stacked matmuls in all.  Each sub-block's
-start state then needs one matmul in Python, and the wanted states come from
-their sub-block's start state in one more stacked matmul, so a block of 256
-steps costs about 31 Python turns instead of 256.  Every state is the same
-product of the same maps whatever the block length, so results do not depend
-on SUBS.  The Euler-Maruyama engine in ``sde`` steps in the same blocks.
+grid's first step, and a block is SUBS whole sub-blocks.  A block's maps are
+built at once with stacked matmuls and prefix-composed inside every sub-block
+together, so a block of 256 steps costs about 31 Python turns instead of 256.
+Every state is the same product of the same maps whatever SUBS is.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 W = 16  # steps per sub-block
-SUBS = 16  # sub-blocks per block, here and in sde
+SUBS = 16  # sub-blocks per block
 
 
 def _rk4_maps(M0, Mh, M1, h) -> np.ndarray:
@@ -83,10 +77,11 @@ def rk4_path(M, y0, u, t, slot, noise=None):
         raise TypeError("rk4_path is real-only: pass a complex system in its real form")
     t = np.asarray(t, dtype=float)
     h = np.diff(t)
-    # Stage points, q per step: qk to qk + q span step k and qk + q/2 is its
-    # midpoint.  The noise terms also read the quarter points, so q = 4 there.
-    q = 2 if noise is None else 4
-    points = np.append((t[:-1, None] + h[:, None] * np.arange(q) / q).ravel(), t[-1])
+    # Stage points, q per step: step k starts at qk, its midpoint is qk + 1,
+    # and the noise terms' half-step map also reads the three-quarter point.
+    offsets = np.array([0.0, 0.5] if noise is None else [0.0, 0.5, 0.75])
+    q = offsets.size
+    points = np.append((t[:-1, None] + h[:, None] * offsets).ravel(), t[-1])
     shape = np.shape(y0)
     y = np.array(y0, dtype=float).reshape(shape[0], -1)
     d = y.shape[0]
@@ -106,11 +101,11 @@ def rk4_path(M, y0, u, t, slot, noise=None):
         if np.iscomplexobj(Ms):
             raise TypeError("rk4_path is real-only: M returned complex matrices")
         hb = h[k0:k1, None, None]
-        R = _rk4_maps(Ms[:-1:q], Ms[q // 2::q], Ms[q::q], hb)
+        R = _rk4_maps(Ms[:-1:q], Ms[1::q], Ms[q::q], hb)
         Rs = _on_sub_blocks(R, eye)
         if noise is not None:
-            G = noise(ub[::2])
-            R_half = _rk4_maps(Ms[2::4], Ms[3::4], Ms[4::4], 0.5 * hb)
+            G = noise(np.delete(ub, np.s_[2::3], axis=0))  # start, midpoint, ..., end
+            R_half = _rk4_maps(Ms[1::3], Ms[2::3], Ms[3::3], 0.5 * hb)
             V = np.concatenate([np.sqrt(hb / 6.0) * (R @ G[:-1:2]),
                                 np.sqrt(2.0 * hb / 3.0) * (R_half @ G[1::2]),
                                 np.sqrt(hb / 6.0) * G[2::2]], axis=-1)

@@ -1,38 +1,21 @@
 """Exact mean/covariance evolution of the follower error stack.
 
-For a linear SDE with additive noise the first two moments obey closed ODEs:
-
-    m' = F(t) m,
-    P' = F(t) P + P F(t)^T + G(t) G(t)^T,
-
-with F(t) = I_N (x) (A + B K1) - Gains(t) L2 (x) B K2 and G(t) the noise
-routing, a_p(t) sqrt(q_p) into follower p's last state component.  The
-oracle steps them with the RK4 propagator (``integrate.rk4_path`` with noise):
-
-    m <- R_k m,    P <- R_k P R_k^T + S_k,
-
-where R_k is the classical RK4 step matrix of F and S_k Simpson's rule for
-the noise G G^T injected over the step, carried to its end by the same RK4
-maps.  The congruence keeps P positive semidefinite by construction, and the
-scheme is fourth order in the step like RK4 on the moment ODEs themselves.
+For a linear SDE with additive noise the first two moments obey closed ODEs,
+m' = F(t) m and P' = F(t) P + P F(t)^T + G(t) G(t)^T, with F(t) = I_N (x)
+(A + B K1) - Gains(t) L2 (x) B K2 and G(t) the noise routing, a_p(t) sqrt(q_p)
+into follower p's last state component.  The oracle steps them with the RK4
+propagator (``integrate.rk4_path`` with noise), m <- R_k m and P <- R_k P R_k^T
++ S_k, which keeps P positive semidefinite by construction and is fourth order.
 
 The oracle has its own grid, independent of the SDE step ``scen.dt``: each
 interval between consecutive sample times (and from 0 to the first) is split
 into equal steps no longer than h_max = STEP_SCALE / r, with r the faster of
 two rates at t = 0, where the gains are largest: the spectral radius of F and
-the gains' relative decay rate.  The grid lands on every sample time, so no
-sample is interpolated or snapped.  On ``fig1`` (r = 3, h_max = 0.01, 2015
-steps to t = 20) the mse is within 1.6e-9 relative of a run at h_max / 4.
-Each run repeats itself at 2 h_max and reports the Richardson estimate of its
-own relative mse error, ``step_error``.
-
-This is the designated ground truth that every Monte Carlo estimate is
-checked against: no sampling error, only measured discretization error.  F
-and the noise come from the same sources the path simulator reads
-(``plant.closed_loop_drift``, ``SimScenario.noise_rate``).  The oracle's
-independence from them lives in the tests, which check it against a
-per-stage RK4 of the moment ODEs in the dense Kronecker form, an adaptive ODE
-solve of the mean and its own step-halving error.
+the gains' relative decay rate.  Each run repeats itself at 2 h_max and
+reports the Richardson estimate of its own relative mse error, ``step_error``.
+F and the noise come from the same sources the path simulator reads
+(``plant.closed_loop_drift``, ``SimScenario.noise_rate``); the tests check the
+oracle against a per-stage RK4 of the moment ODEs in the dense Kronecker form.
 """
 
 from __future__ import annotations

@@ -60,12 +60,12 @@ class ClosedLoopDrift:
     """The drift F(a) of M coupled agents, as a function of their gains a.
 
     F(a) is ``base`` = I_M (x) (A + B K1) with each row ``last[p]`` (the last
-    component of agent p) lowered by a_p times row p of ``coupling`` = L (x) K2.
-    """
+    component of agent p) lowered by a_p times row p of ``coupling`` = L (x) K2."""
 
     base: np.ndarray      # (Mn, Mn)
     coupling: np.ndarray  # (M, Mn)
     last: np.ndarray      # (M,) int
+    K2: np.ndarray        # (n,), K2[-1] = 1: z_p = K2 x_p is what the coupling reads
 
     def __call__(self, a) -> np.ndarray:
         """F for gains ``a`` of shape (..., M); returns shape (..., Mn, Mn)."""
@@ -84,7 +84,7 @@ def closed_loop_drift(plant: PlantModel, L) -> ClosedLoopDrift:
     last.setflags(write=False)
     return ClosedLoopDrift(
         base=frozen_copy(np.kron(np.eye(M), plant.closed_loop_A)),
-        coupling=frozen_copy(np.kron(L, plant.K2)), last=last,
+        coupling=frozen_copy(np.kron(L, plant.K2)), last=last, K2=plant.K2[0],
     )
 
 

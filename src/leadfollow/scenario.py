@@ -243,8 +243,7 @@ def _non_finite_fields(node, path: str = "") -> list[str]:
         found = [p for k, v in node.items()
                  for p in _non_finite_fields(v, f"{path}.{k}" if path else str(k))]
     elif isinstance(node, (list, tuple)):
-        found = [p for v in node
-                 for p in ([path] if v is None else _non_finite_fields(v, path))]
+        found = [p for v in node for p in ([path] if v is None else _non_finite_fields(v, path))]
     else:
         found = [path] if isinstance(node, float) and not np.isfinite(node) else []
     return list(dict.fromkeys(found))

@@ -103,9 +103,7 @@ def check_reduction_consistency(scen) -> CheckResult:
     The REDUCTION_SEEDS paths run as one batch, each trial on its own noise
     stream, through the batched step that ``monte_carlo_moments`` uses."""
     horizon = min(10.0, scen.t_end)
-    probe = scen.with_overrides(
-        t_end=horizon, sample_times=np.linspace(0.0, horizon, 101)
-    )
+    probe = scen.with_overrides(t_end=horizon, sample_times=np.linspace(0.0, horizon, 101))
     full = sde._run_full(probe, probe.base_seed, REDUCTION_SEEDS)
     red = sde._run_reduced(probe, probe.base_seed, REDUCTION_SEEDS)
     err = full[:, :, probe.graph.follower_indices, :] - full[:, :, [probe.graph.leader_index], :]
@@ -121,15 +119,13 @@ def oracle_deviation_sigmas(mc, oracle) -> float:
     """
     dev, se = np.abs(mc.mse - oracle.mse), mc.stderr
     exact = se == 0.0
-    ratio = np.where(exact, np.where(dev <= 1e-9, 0.0, np.inf),
-                     dev / np.where(exact, 1.0, se))
+    ratio = np.where(exact, np.where(dev <= 1e-9, 0.0, np.inf), dev / np.where(exact, 1.0, se))
     return float(ratio.max())
 
 
 def check_oracle_agreement(mc, oracle) -> CheckResult:
     """Monte Carlo second moments within 3 standard errors of the moment ODEs."""
-    return _check("monte_carlo_oracle_sigmas", oracle_deviation_sigmas(mc, oracle),
-                  3.0, "<=")
+    return _check("monte_carlo_oracle_sigmas", oracle_deviation_sigmas(mc, oracle), 3.0, "<=")
 
 
 def _slope_window(scen) -> tuple[float, float]:

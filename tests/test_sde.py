@@ -10,6 +10,7 @@ import pytest
 
 import leadfollow as lf
 from leadfollow import integrate, sde, verify
+from leadfollow.plant import build_plant, closed_loop_drift
 from leadfollow.scenario import scenario_from_dict
 from leadfollow.verify import CheckResult
 
@@ -129,21 +130,37 @@ def test_trials_invariant_to_trial_count(fig1):
     assert np.array_equal(few, many[:8])
 
 
+def _block_lengths(monkeypatch) -> list:
+    """The steps of every block this process's producers draw noise for, as they draw."""
+    lengths, block = [], sde._Noise.block
+
+    def recorded(self, a_b):
+        lengths.append(len(a_b))
+        return block(self, a_b)
+
+    monkeypatch.setattr(sde._Noise, "block", recorded)
+    return lengths
+
+
 def test_trials_invariant_to_block_steps(fig1, fig2, monkeypatch):
     """Each stream is consumed step-major and the gains and leader forcing are
     formed per block from the step index alone, and a block is whole
     sub-blocks aligned to step 0, so the block size changes nothing, also with
-    block boundaries that split no sample interval evenly."""
+    block boundaries that split no sample interval evenly.  The engine's
+    blocks do change: 512 steps by default, then 1024 and 112."""
     scen = _invariance_scenario(fig1)
     leaderless = fig2.with_overrides(t_end=2.0, sample_times=np.linspace(0.0, 2.0, 21))
-    assert integrate.SUBS * integrate.W == 256
+    lengths = _block_lengths(monkeypatch)
     full, red = sde._run_full(scen, 5, 4), sde._run_reduced(scen, 5, 4)
     free = sde._run_full(leaderless, 5, 4)
-    for subs in (32, 7):  # blocks of 512 and 112 steps
-        monkeypatch.setattr(integrate, "SUBS", subs)
+    assert max(lengths) == integrate.W * sde.MAX_SUBS == 512
+    for subs in (64, 7):
+        monkeypatch.setattr(sde, "MAX_SUBS", subs)
+        lengths.clear()
         assert np.array_equal(sde._run_full(scen, 5, 4), full)
         assert np.array_equal(sde._run_reduced(scen, 5, 4), red)
         assert np.array_equal(sde._run_full(leaderless, 5, 4), free)
+        assert max(lengths) == integrate.W * subs
 
 
 def test_single_trial_matches_trial_zero(fig1):
@@ -206,7 +223,9 @@ def test_nonfinite_error_names_first_step(fig1):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(sde.NonFiniteError, match=r"t = 0\.134 in 3 trial\(s\): 0, 1, 2") as exc:
             sde._run_full(scen, 1, 3)
-        assert exc.value.t < integrate.SUBS * integrate.W * scen.dt
+        drift = scen.drift()
+        block = integrate.W * sde._block_subs(drift.base.shape[0], drift.last.size, 3)
+        assert exc.value.t < block * scen.dt
         # The step before the named one is still finite.
         t_before = exc.value.t - scen.dt
         before = scen.with_overrides(t_end=t_before, sample_times=[t_before])
@@ -227,9 +246,9 @@ def _overflowing(fig1, t_end, sample_times):
 @pytest.mark.parametrize("t_end, sample_times",
                          [(0.14, [0.0, 0.133, 0.135]), (0.134, [0.0, 0.133])])
 def test_nonfinite_in_the_padded_last_sub_block(fig1, t_end, sample_times, trials):
-    """Step 134 lies in the grid's last sub-block (steps 128-143, padded past
-    the horizon), between two samples there, or as the grid's last step; the
-    error names that step and every trial."""
+    """Step 134 lies in the grid's last sub-block (steps 128-139 or 128-133,
+    stepped one step at a time), between two samples there, or as the grid's
+    last step; the error names that step and every trial."""
     scen = _overflowing(fig1, t_end, sample_times)
     message = rf"t = 0\.134 in {trials} trial\(s\): {', '.join(map(str, range(trials)))}$"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -408,7 +427,8 @@ def test_one_trial_invariant_to_workers_and_block_steps(fig1, fig2, monkeypatch,
                                                          workers, subs):
     """A one-trial run splits its steps at a boundary that depends on neither
     the worker count nor the block length, so its paths are bit-identical
-    under both; with two workers the second half runs in one forked child."""
+    under both, against a serial run in blocks of one sub-block; with two
+    workers the second half runs in one forked child."""
     scen = _split_scenario(fig1)
     leaderless = fig2.with_overrides(t_end=2.007, sample_times=scen.sample_times)
 
@@ -417,7 +437,10 @@ def test_one_trial_invariant_to_workers_and_block_steps(fig1, fig2, monkeypatch,
                 sde._run_full(leaderless, 5, 1)]
 
     monkeypatch.setattr(sde, "WORKERS", 1)
+    monkeypatch.setattr(sde, "MAX_SUBS", 1)
+    lengths = _block_lengths(monkeypatch)
     serial = runs()
+    assert max(lengths) == integrate.W
     fork, forks = os.fork, []
 
     def counted_fork():
@@ -425,9 +448,11 @@ def test_one_trial_invariant_to_workers_and_block_steps(fig1, fig2, monkeypatch,
         return fork()
 
     monkeypatch.setattr(sde, "WORKERS", workers)
-    monkeypatch.setattr(integrate, "SUBS", subs)
+    monkeypatch.setattr(sde, "MAX_SUBS", subs)
     monkeypatch.setattr(os, "fork", counted_fork)
+    lengths.clear()
     assert all(np.array_equal(a, b) for a, b in zip(runs(), serial))
+    assert max(lengths) == integrate.W * subs
     assert len(forks) == (3 if workers == 2 else 0)
 
 
@@ -496,7 +521,9 @@ def test_noise_buffer_holds_only_its_streams_rows(fig1, monkeypatch, deadline, w
     monkeypatch.setattr(sde, "WORKERS", workers)
     monkeypatch.setattr(sde._Noise, "block", recorded)
     sde._run_full(scen, 5, 1)
-    K, per_block = _split_step(scen), integrate.SUBS * integrate.W
+    drift = scen.drift()
+    K = _split_step(scen)
+    per_block = integrate.W * sde._block_subs(drift.base.shape[0], drift.last.size, 1)
     assert counts[:, 0].sum() == -(-K // per_block) + -(-(scen.steps - K) // per_block)
     assert (counts[1, 0] > 0) == (workers == 2)  # the forked second half drew its own
     assert np.array_equal(counts[:, 1], counts[:, 0])
@@ -547,13 +574,13 @@ def test_one_trial_end_state_larger_than_a_split_field(fig1, monkeypatch, deadli
     """A one-trial run whose state's pickle exceeds FAILURE_BYTES (64
     followers of order 8, D = 512) runs, split into two halves at 32 steps
     and unsplit at 16, at 1 and 2 workers alike, and is trial 0 of a batch up
-    to round-off.  Its block buffers hold the path's sub-blocks, not a whole
-    block: in this process its traced peak stays under 128 MB, where one
-    block of 256 D x D maps takes 512 MB."""
+    to round-off.  Its blocks are one sub-block each (sde.BLOCK_BYTES): in
+    this process its traced peak stays under 128 MB, where one block of 256
+    D x D maps takes 512 MB."""
     scen = _chain(fig1, 64, t_end)
     assert len(pickle.dumps(np.zeros((1, scen.drift().base.shape[0])))) > sde.FAILURE_BYTES
     assert (_split_step(scen) > 0) == (t_end > 0.016)
-    assert integrate.SUBS * integrate.W == 256
+    assert sde._block_subs(512, 64, 1) == 1
     monkeypatch.setattr(sde, "WORKERS", 1)
     tracemalloc.start()
     try:
@@ -568,12 +595,12 @@ def test_one_trial_end_state_larger_than_a_split_field(fig1, monkeypatch, deadli
 
 
 def test_block_maps_fit_in_32_mib(fig1, monkeypatch, deadline):
-    """A long path keeps its blocks' maps within 32 MiB: a 300-step 2-trial
-    run at D = 256 (32 followers of order 8) takes blocks of 4 sub-blocks,
-    not integrate.SUBS, and its traced peak stays under 64 MB, where one
-    block of 256 D x D maps takes 128 MB."""
+    """A long path keeps its blocks within sde.BLOCK_BYTES: a 300-step 2-trial
+    run at D = 256 (32 followers of order 8) takes blocks of one sub-block,
+    and its traced peak stays under 64 MB, where one block of 256 D x D maps
+    takes 128 MB."""
     scen = _chain(fig1, 32, 0.3)
-    assert scen.steps == 300 and integrate.SUBS * integrate.W == 256
+    assert scen.steps == 300 and sde._block_subs(256, 32, 2) == 1
     monkeypatch.setattr(sde, "WORKERS", 1)
     tracemalloc.start()
     try:
@@ -583,57 +610,95 @@ def test_block_maps_fit_in_32_mib(fig1, monkeypatch, deadline):
         tracemalloc.stop()
 
 
-def _padded_blocks(S, V, per_block):
-    """A hand-made producer: the maps S and increments V in blocks of
-    ``per_block`` steps, the last sub-block padded with identity maps and
-    zero increments."""
-    for b0 in range(0, len(S), per_block):
-        S_b, V_b = S[b0:b0 + per_block], V[:, b0:b0 + per_block]
-        pad = -len(S_b) % integrate.W
-        yield (np.concatenate([S_b, np.tile(np.eye(S.shape[1]), (pad, 1, 1))]),
-               np.concatenate([V_b, np.zeros((len(V), pad, V.shape[2]))], axis=1))
+def _blocks(a, V, per_block):
+    """A hand-made producer: the gains a and increments V in blocks of ``per_block`` steps."""
+    for b0 in range(0, len(a), per_block):
+        yield a[b0:b0 + per_block], V[:, b0:b0 + per_block]
+
+
+def _dense_loop(X0, drift, dt, a, V):
+    """X <- X S_k^T + V_k on the last components of the last len(V) rows, one
+    step at a time on the dense maps S_k = I + dt F(a_k); every state, X0 first."""
+    n, X, states = X0.shape[1] // len(drift.last), X0.copy(), [X0]
+    for k in range(len(a)):
+        X = X @ (np.eye(X.shape[1]) + dt * drift(a[k])).T
+        X[-len(V):, n - 1::n] += V[:, k]
+        states.append(X)
+    return np.array(states)
 
 
 def test_path_composes_any_producers_blocks():
-    """_path steps any blocks it is given as a per-step loop does: dense
-    random maps S_k, increments on the last 3 of 5 rows, from k_lo = 32 over
-    53 steps (no whole number of sub-blocks) in blocks of 2 sub-blocks.  The
-    samples at a sub-block start, inside one, at one's end and at k_hi match
-    the loop to 1e-12 of its scale, and a sample before k_lo is left unset.
-    An inf in one increment marks, in ``first``, the loop's first step with a
-    non-finite row, on that row alone."""
-    W, M, n, rows, noisy = integrate.W, 3, 2, 5, 3
-    D, k_lo, steps = M * n, 2 * W, 53
+    """_path steps whatever blocks of gains and increments it is given as a
+    per-step loop on the dense maps does: a random order-2 plant and coupling
+    of 3 agents at dt 0.05, random gains, increments on the last 3 of 5 rows,
+    from k_lo = 32 over 53 steps (no whole number of sub-blocks) in blocks of
+    2 sub-blocks.  The samples at a sub-block start, inside one, at one's end,
+    inside the last partial one and at k_hi match the loop to 1e-12 of its
+    scale, and a sample before k_lo is left unset.  An inf in one increment
+    marks, in ``first``, the loop's first step with a non-finite row, on that
+    row alone."""
+    W, M, rows, noisy, dt = integrate.W, 3, 5, 3, 0.05
+    k_lo, steps = 2 * W, 53
     rng = np.random.default_rng(11)
-    S = np.eye(D) + 0.2 * rng.standard_normal((steps, D, D))
+    drift = closed_loop_drift(build_plant(rng.uniform(-1.0, 1.0, 2), [1.5]),
+                              rng.standard_normal((M, M)))
+    D, n = drift.base.shape[0], 2
+    a = rng.uniform(0.5, 3.0, (steps, M))
     V = rng.standard_normal((noisy, steps, M))
     X0 = rng.standard_normal((rows, D))
-    samples = np.array([5, k_lo, k_lo + 20, k_lo + 3 * W, k_lo + steps])
-
-    def loop(V):
-        X, states = X0.copy(), [X0]
-        for k in range(steps):
-            X = X @ S[k].T
-            X[-noisy:, n - 1::n] += V[:, k]
-            states.append(X)
-        return np.array(states)
-
-    ref, dest, end = loop(V), np.zeros((samples.size, rows, M, n)), np.empty((rows, D))
+    samples = np.array([5, k_lo, k_lo + 20, k_lo + 3 * W, k_lo + 50, k_lo + steps])
+    ref = _dense_loop(X0, drift, dt, a, V)
+    dest, end = np.zeros((samples.size, rows, M, n)), np.empty((rows, D))
     first = np.zeros(rows, np.int64)
-    sde._path(X0.copy(), _padded_blocks(S, V, 2 * W), k_lo, k_lo + steps, samples, dest,
-              slice(None), first, end)
+    sde._path(X0.copy(), sde._Maps(drift, dt), _blocks(a, V, 2 * W), k_lo, k_lo + steps, samples,
+              dest, slice(None), first, end)
     assert not dest[0].any() and not first.any()
     got, want = dest[1:].reshape(-1, rows, D), ref[samples[1:] - k_lo]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     np.testing.assert_allclose(end, ref[-1], rtol=1e-12, atol=1e-12 * np.abs(ref[-1]).max())
     V[1, 40, 2] = np.inf
     with np.errstate(invalid="ignore", over="ignore"):
-        bad = ~np.isfinite(loop(V)).all(axis=2)
-        sde._path(X0.copy(), _padded_blocks(S, V, 2 * W), k_lo, k_lo + steps, samples, dest,
-                  slice(None), first, end)
+        bad = ~np.isfinite(_dense_loop(X0, drift, dt, a, V)).all(axis=2)
+        sde._path(X0.copy(), sde._Maps(drift, dt), _blocks(a, V, 2 * W), k_lo, k_lo + steps,
+                  samples, dest, slice(None), first, end)
     step = int(np.flatnonzero(bad.any(axis=1))[0])
     assert step == 41 and bad[step].sum() == 1
     assert np.array_equal(first, np.where(bad[step], k_lo + step, 0))
+
+
+@pytest.mark.parametrize("case", ["fig1", "fig1_reduced", "fig2", "chain_16"])
+def test_sub_blocks_compose_the_dense_maps(fig1, fig2, case):
+    """The filtered split composes each sub-block as the dense product of the
+    maps S_k = I + dt F(a_k) from plant.closed_loop_drift: _Maps.compose's P
+    and noise rows G (the carried noise of unit increments), and _path's end
+    state over one block of 3 sub-blocks and 5 steps (a path that ends in a
+    partial sub-block), match it to 1e-13 relative, on fig1 full and reduced,
+    leaderless fig2 and 16 followers of order 8 (D = 128)."""
+    scen = {"fig1": fig1, "fig1_reduced": fig1, "fig2": fig2, "chain_16": None}[case]
+    scen = _chain(fig1, 16, 1.0) if scen is None else scen
+    drift = sde._reduced_drift(scen) if case == "fig1_reduced" else scen.drift()
+    (M, D), W, dt, k0 = drift.coupling.shape, integrate.W, scen.dt, 40
+    n, steps = D // M, 3 * W + 5
+    rng = np.random.default_rng(31)
+    a = scen.profile.gain_all((k0 + np.arange(steps)) * dt)
+    a *= rng.uniform(0.5, 2.0, a.shape)  # gains that differ from step to step
+    maps = sde._Maps(drift, dt)
+    # Row j M + p takes a unit increment at step j of every sub-block, agent p.
+    unit = np.tile(np.eye(W * M).reshape(W * M, W, M), (1, 3, 1))
+    P, G = maps.compose(a, unit, maps.work(3, W * M))
+    S = np.eye(D) + dt * drift(a)
+    for s in range(3):
+        Q = np.eye(D)  # S_{j+1}^T ... S_{W-1}^T, then P
+        for j in range(W - 1, -1, -1):
+            assert np.abs(G[s, j * M:(j + 1) * M] - Q[n - 1::n]).max() <= 1e-13 * np.abs(Q).max()
+            Q = S[s * W + j].T @ Q
+        assert np.abs(P[s] - Q).max() <= 1e-13 * np.abs(Q).max()
+    X0, V = rng.standard_normal((2, D)), rng.standard_normal((2, steps, M))
+    dest, end = np.zeros((1, 2, M, n)), np.empty((2, D))
+    sde._path(X0.copy(), maps, iter([(a, V)]), k0, k0 + steps, np.array([k0]), dest, slice(None),
+              np.zeros(2, np.int64), end)
+    ref = _dense_loop(X0, drift, dt, a, V)[-1]
+    assert np.abs(end - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_step_k_uses_the_gain_at_its_start(fig1):
